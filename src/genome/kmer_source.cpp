@@ -1,11 +1,15 @@
 #include "genome/kmer_source.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "sketch/exchange.hpp"
 #include "sketch/sketch.hpp"
+#include "util/error.hpp"
 
 namespace sas::genome {
 
@@ -28,18 +32,20 @@ std::vector<std::int64_t> codes_in_range(const std::vector<std::uint64_t>& kmers
   return out;
 }
 
-void validate_sample(const KmerSample& sample, std::int64_t universe) {
-  if (!sample.kmers.empty() &&
-      sample.kmers.back() >= static_cast<std::uint64_t>(universe)) {
-    throw std::out_of_range("k-mer code exceeds 4^k universe for sample " + sample.name);
-  }
+bool within_universe(const KmerSample& sample, std::int64_t universe) {
+  return sample.kmers.empty() ||
+         sample.kmers.back() < static_cast<std::uint64_t>(universe);
 }
 
 }  // namespace
 
 KmerSampleSource::KmerSampleSource(int k, std::vector<KmerSample> samples)
     : universe_(universe_for_k(k)), samples_(std::move(samples)) {
-  for (const KmerSample& s : samples_) validate_sample(s, universe_);
+  for (const KmerSample& s : samples_) {
+    if (!within_universe(s, universe_)) {
+      throw std::out_of_range("k-mer code exceeds 4^k universe for sample " + s.name);
+    }
+  }
 }
 
 std::vector<std::int64_t> KmerSampleSource::values_in_range(
@@ -55,11 +61,34 @@ std::vector<std::string> KmerSampleSource::sample_names() const {
 }
 
 KmerFileSource::KmerFileSource(int k, const std::vector<std::string>& sample_paths)
-    : universe_(universe_for_k(k)), paths_(sample_paths) {
-  samples_.reserve(sample_paths.size());
-  for (const std::string& path : sample_paths) {
-    samples_.push_back(read_sample_file(path));
-    validate_sample(samples_.back(), universe_);
+    : universe_(universe_for_k(k)), paths_(sample_paths), samples_(sample_paths.size()) {
+  // Workers claim file indices and fill index-addressed slots, so sample
+  // order is argument order whatever order the files finish in.
+  const std::size_t files = paths_.size();
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(files);
+  const auto parse_files = [&] {
+    for (std::size_t i = next++; i < files; i = next++) {
+      try {
+        samples_[i] = read_sample_file(paths_[i]);
+        if (!within_universe(samples_[i], universe_)) {
+          throw error::CorruptInput(paths_[i] + ": k-mer code exceeds the 4^" +
+                                    std::to_string(k) + " universe");
+        }
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  {
+    const std::size_t threads =
+        std::min<std::size_t>(std::max(1u, std::thread::hardware_concurrency()), files);
+    std::vector<std::jthread> pool;
+    pool.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(parse_files);
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 }
 

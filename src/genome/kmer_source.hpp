@@ -36,9 +36,13 @@ class KmerSampleSource final : public core::SampleSource {
 };
 
 /// File-backed adapter over GenomeAtScale sample files (sorted numeric
-/// representation, §IV). Files are parsed once at construction; range
-/// queries binary-search the sorted codes, matching the streaming batch
-/// reads of the paper's readFiles().
+/// representation, §IV). The constructor parses the files in parallel on
+/// min(hardware_concurrency, file count) threads, each streaming its file
+/// through read_sample_file; sample i is always sample_paths[i]. A code
+/// at or above 4^k is error::CorruptInput naming the path. When several
+/// files fail, the error of the first failing file in argument order is
+/// rethrown. Range queries binary-search the sorted codes, matching the
+/// streaming batch reads of the paper's readFiles().
 ///
 /// Sketch persistence: `gas sketch --estimator <est>` drops a
 /// `<sample path>.<est>.sketch` wire blob next to each sample file; this

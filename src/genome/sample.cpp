@@ -1,8 +1,12 @@
 #include "genome/sample.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <unordered_map>
 
 #include "util/error.hpp"
@@ -65,25 +69,84 @@ void write_sample_file(const std::string& path, const KmerSample& sample) {
   for (std::uint64_t code : sample.kmers) out << code << '\n';
 }
 
-KmerSample read_sample_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw error::ConfigError("cannot open sample file: " + path);
-  KmerSample sample;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      const std::size_t start = line.find_first_not_of(" \t", 1);
-      if (start != std::string::npos) sample.name = line.substr(start);
-      continue;
+namespace {
+
+/// One pass over a sample file's lines: parses and validates each line as
+/// it is seen, so a bad line fails with its path and 1-based line number.
+class SampleParser {
+ public:
+  explicit SampleParser(const std::string& path) : path_(path) {}
+
+  void line(const char* begin, const char* end) {
+    ++line_no_;
+    if (end != begin && end[-1] == '\r') --end;
+    if (begin == end) return;
+    if (*begin == '#') {
+      const std::string_view text(begin + 1, static_cast<std::size_t>(end - begin - 1));
+      const std::size_t start = text.find_first_not_of(" \t");
+      if (start != std::string_view::npos) sample_.name = text.substr(start);
+      return;
     }
-    sample.kmers.push_back(std::stoull(line));
+    std::uint64_t code = 0;
+    const auto [ptr, ec] = std::from_chars(begin, end, code, 10);
+    if (ec == std::errc::result_out_of_range) fail("k-mer code overflows uint64", begin, end);
+    if (ec != std::errc{} || ptr != end) fail("not a base-10 k-mer code", begin, end);
+    if (!sample_.kmers.empty() && code <= sample_.kmers.back()) {
+      fail("k-mer codes must be sorted and unique", begin, end);
+    }
+    sample_.kmers.push_back(code);
   }
-  if (!std::is_sorted(sample.kmers.begin(), sample.kmers.end())) {
-    throw error::CorruptInput("sample file is not sorted: " + path);
+
+  [[nodiscard]] KmerSample take() { return std::move(sample_); }
+
+ private:
+  [[noreturn]] void fail(const char* reason, const char* begin, const char* end) const {
+    constexpr std::size_t kShown = 40;
+    const std::size_t len = static_cast<std::size_t>(end - begin);
+    std::string shown(begin, std::min(len, kShown));
+    if (len > kShown) shown += "...";
+    throw error::CorruptInput(path_ + ":" + std::to_string(line_no_) + ": " + reason +
+                              ": '" + shown + "'");
   }
-  return sample;
+
+  const std::string& path_;
+  std::int64_t line_no_ = 0;
+  KmerSample sample_;
+};
+
+}  // namespace
+
+KmerSample read_sample_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw error::ConfigError("cannot open sample file: " + path);
+  SampleParser parser(path);
+  // Lines are parsed in place; the unterminated tail of each chunk moves
+  // to the front of the buffer and is completed by the next read. Only a
+  // "# name" header may fill the whole buffer, which then grows; any other
+  // line that long is malformed, and parsing it throws.
+  std::vector<char> buffer(kSampleReadBuffer);
+  std::size_t tail = 0;
+  while (true) {
+    if (tail == buffer.size()) {
+      if (buffer[0] != '#') parser.line(buffer.data(), buffer.data() + tail);
+      buffer.resize(2 * buffer.size());
+    }
+    in.read(buffer.data() + tail, static_cast<std::streamsize>(buffer.size() - tail));
+    if (in.bad()) throw error::CorruptInput(path + ": read failed");
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (got == 0) break;
+    const char* pos = buffer.data();
+    const char* const end = buffer.data() + tail + got;
+    while (const auto* newline = static_cast<const char*>(
+               std::memchr(pos, '\n', static_cast<std::size_t>(end - pos)))) {
+      parser.line(pos, newline);
+      pos = newline + 1;
+    }
+    tail = static_cast<std::size_t>(end - pos);
+    std::memmove(buffer.data(), pos, tail);
+  }
+  if (tail > 0) parser.line(buffer.data(), buffer.data() + tail);
+  return parser.take();
 }
 
 }  // namespace sas::genome

@@ -9,6 +9,7 @@
 // unique vector of packed k-mer codes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,7 +43,18 @@ struct KmerSample {
 /// format (§IV).
 void write_sample_file(const std::string& path, const KmerSample& sample);
 
-/// Parse a sample file written by write_sample_file.
+/// Bytes read_sample_file reads per chunk. The file streams through one
+/// buffer of this size, so memory stays flat however large the file is.
+inline constexpr std::size_t kSampleReadBuffer = std::size_t{256} << 10;
+
+/// Parse a sample file written by write_sample_file, in one streaming pass.
+/// Accepted: LF or CRLF line endings, blank lines, "# name" comment lines
+/// (the last non-empty one names the sample), and a missing final newline.
+/// Every other line must be a whole base-10 uint64 (no sign, no spaces)
+/// greater than the line before it. Throws error::ConfigError if the file
+/// cannot be opened, and error::CorruptInput with the message
+/// "path:line: reason" for a malformed, overflowing, duplicate or
+/// decreasing code. Range checks against 4^k are KmerFileSource's.
 [[nodiscard]] KmerSample read_sample_file(const std::string& path);
 
 }  // namespace sas::genome

@@ -6,9 +6,13 @@
 // never silently index out of bounds. Run under ASan/UBSan/TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -17,6 +21,8 @@
 #include "core/matrix_io.hpp"
 #include "core/similarity_matrix.hpp"
 #include "distmat/dist_filter.hpp"
+#include "genome/kmer_source.hpp"
+#include "genome/sample.hpp"
 #include "sketch/one_perm_minhash.hpp"
 #include "sketch/sketch.hpp"
 #include "util/error.hpp"
@@ -186,6 +192,96 @@ TEST(CorruptionMatrix, WireFileFlipsAreTypedOrValidated) {
 
 TEST(CorruptionMatrix, MissingWireFileIsStillAbsenceNotCorruption) {
   EXPECT_TRUE(sketch::read_wire_file("/nonexistent/sas/sketch.blob").empty());
+}
+
+// ------------------------------------------------------ .kmers sample files
+
+constexpr int kSampleK = 6;  // universe 4^6 = 4096
+
+std::string serialized_sample(const fs::path& path) {
+  genome::write_sample_file(path.string(),
+                            genome::KmerSample{"tiny", {3, 17, 255, 1000, 4095}});
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Loads one damaged sample file: it must parse to a sorted, unique set
+/// inside the 4^k universe or throw error::CorruptInput naming the path.
+void expect_sample_contained(const fs::path& path, const std::string& label) {
+  try {
+    const genome::KmerFileSource source(kSampleK, {path.string()});
+    const auto codes = source.values_in_range(
+        0, distmat::BlockRange{0, std::numeric_limits<std::int64_t>::max()});
+    EXPECT_TRUE(std::adjacent_find(codes.begin(), codes.end(),
+                                   std::greater_equal<>()) == codes.end())
+        << label << ": codes not sorted and unique";
+    EXPECT_TRUE(codes.empty() || codes.back() < source.attribute_universe())
+        << label << ": codes outside the universe";
+  } catch (const error::CorruptInput& e) {
+    EXPECT_NE(std::string(e.what()).find(path.string()), std::string::npos)
+        << label << ": " << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << label << " escaped the taxonomy: " << e.what();
+  }
+}
+
+TEST(CorruptionMatrix, SampleFileTruncationsAreTypedOrValid) {
+  const fs::path dir = fs::temp_directory_path() / "sas_corruption_kmers";
+  fs::create_directories(dir);
+  const fs::path path = dir / "tiny.kmers";
+  const std::string bytes = serialized_sample(path);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    write_bytes(path, bytes.substr(0, len));
+    expect_sample_contained(path, "truncation to " + std::to_string(len));
+  }
+  fs::remove_all(dir);
+}
+
+TEST(CorruptionMatrix, SampleFileFlipsAreTypedOrValid) {
+  const fs::path dir = fs::temp_directory_path() / "sas_corruption_kmers_flip";
+  fs::create_directories(dir);
+  const fs::path path = dir / "tiny.kmers";
+  const std::string bytes = serialized_sample(path);
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    std::string flipped = bytes;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0xff);
+    write_bytes(path, flipped);
+    expect_sample_contained(path, "flip at byte " + std::to_string(pos));
+  }
+  fs::remove_all(dir);
+}
+
+TEST(CorruptionMatrix, MalformedSampleLinesThrowTypedWithPath) {
+  const fs::path dir = fs::temp_directory_path() / "sas_corruption_kmers_lines";
+  fs::create_directories(dir);
+  const fs::path path = dir / "bad.kmers";
+  struct Case {
+    std::string text;
+    const char* where;  // expected "path:line" suffix; "" when no line applies
+  };
+  const Case cases[] = {
+      {"# s\n12abc\n", ":2:"},                 // trailing junk
+      {"# s\n99999999999999999999\n", ":2:"},  // overflows uint64
+      {"# s\n5\n5\n", ":3:"},                  // duplicate
+      {"# s\n7\n5\n", ":3:"},                  // decreasing
+      {"# s\n3\n4096\n", ""},                  // >= 4^k
+      // A non-header line longer than the read buffer fails before the
+      // buffer grows to hold it.
+      {"# s\n" + std::string(2 * genome::kSampleReadBuffer, '7') + "\n", ":2:"},
+  };
+  for (const Case& c : cases) {
+    write_bytes(path, c.text);
+    try {
+      const genome::KmerFileSource source(kSampleK, {path.string()});
+      ADD_FAILURE() << "accepted: " << c.text.substr(0, 40);
+    } catch (const error::CorruptInput& e) {
+      EXPECT_NE(std::string(e.what()).find(path.string() + c.where), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << c.text.substr(0, 40) << " escaped the taxonomy: " << e.what();
+    }
+  }
+  fs::remove_all(dir);
 }
 
 // ------------------------------------------- compressed index set decode

@@ -3,19 +3,23 @@
 // synthetic mutation model, and sequencing-read simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "genome/alphabet.hpp"
 #include "genome/fasta.hpp"
 #include "genome/kmer.hpp"
+#include "genome/kmer_source.hpp"
 #include "genome/kmer_spectrum.hpp"
 #include "genome/phylip.hpp"
 #include "genome/sample.hpp"
 #include "genome/synthetic.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace sas::genome {
@@ -241,6 +245,11 @@ TEST(Sample, JaccardOfSamplesMatchesDefinition) {
   EXPECT_DOUBLE_EQ(jaccard_of_samples(a, empty), 0.0);
 }
 
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
 TEST(Sample, FileRoundTrip) {
   const std::string path = std::filesystem::temp_directory_path() / "sas_sample_rt.txt";
   const KmerSample sample{"sample X", {0, 5, 42, 1ULL << 40}};
@@ -248,7 +257,87 @@ TEST(Sample, FileRoundTrip) {
   const KmerSample parsed = read_sample_file(path);
   EXPECT_EQ(parsed.name, sample.name);
   EXPECT_EQ(parsed.kmers, sample.kmers);
+
+  // Hand-written variants of the same sample: CRLF endings, blank lines,
+  // a header with extra padding, and no newline after the last code.
+  for (const std::string text :
+       {"# sample X\r\n0\r\n5\r\n42\r\n1099511627776\r\n",
+        "\n#   sample X\n\n0\n5\n\r\n42\n\n1099511627776",
+        "# sample X\n0\n5\n42\n1099511627776\r"}) {
+    write_text(path, text);
+    const KmerSample variant = read_sample_file(path);
+    EXPECT_EQ(variant.name, sample.name);
+    EXPECT_EQ(variant.kmers, sample.kmers);
+  }
+
+  // A file several read buffers long, so lines straddle chunk boundaries;
+  // a header longer than the whole buffer forces the buffer to grow.
+  KmerSample big{std::string(kSampleReadBuffer + 17, 'n'), {}};
+  for (std::uint64_t code = 3; big.kmers.size() < 120000; code += 977) {
+    big.kmers.push_back(code * 1000003);
+  }
+  write_sample_file(path, big);
+  ASSERT_GT(std::filesystem::file_size(path), 4 * kSampleReadBuffer);
+  const KmerSample big_parsed = read_sample_file(path);
+  EXPECT_EQ(big_parsed.name, big.name);
+  EXPECT_EQ(big_parsed.kmers, big.kmers);
   std::remove(path.c_str());
+}
+
+TEST(KmerFileSource, ParsesInParallelInArgumentOrder) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "sas_sample_parallel";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const int k = 15;
+  const KmerCodec codec(k);
+  Rng rng(12);
+  // Sizes vary so the workers finish out of order; file `early` (made
+  // corrupt below) is the largest.
+  const unsigned files = 2 * std::max(1u, std::thread::hardware_concurrency()) + 3;
+  const std::size_t early = 1;
+  const std::size_t late = files - 2;
+  std::vector<std::string> paths;
+  for (unsigned i = 0; i < files; ++i) {
+    const std::int64_t length =
+        i == early ? 60000 : 500 + 4000 * static_cast<std::int64_t>((i * 7) % 5);
+    const KmerSample sample = build_sample(
+        "s" + std::to_string(i), {{"g", "", random_genome(length, rng)}}, codec);
+    paths.push_back((dir / ("s" + std::to_string(i) + ".kmers")).string());
+    write_sample_file(paths.back(), sample);
+  }
+
+  const KmerFileSource source(k, paths);
+  ASSERT_EQ(source.sample_count(), static_cast<std::int64_t>(files));
+  const std::vector<std::string> names = source.sample_names();
+  for (unsigned i = 0; i < files; ++i) {
+    const KmerSample serial = read_sample_file(paths[i]);
+    EXPECT_EQ(names[i], serial.name);
+    const std::vector<std::int64_t> codes =
+        source.values_in_range(i, distmat::BlockRange{0, source.attribute_universe()});
+    EXPECT_EQ(std::vector<std::uint64_t>(codes.begin(), codes.end()), serial.kmers)
+        << paths[i];
+  }
+
+  // Two corrupt files: the earlier one fails late in a large file, the
+  // later one on its first line, so the later error is usually found
+  // first. The rethrown error must still name the earlier file.
+  {
+    std::ofstream out(paths[early], std::ios::app);
+    out << "12abc\n";
+  }
+  write_text(paths[late], "xyz\n");
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    try {
+      const KmerFileSource corrupt(k, paths);
+      ADD_FAILURE() << "corrupt corpus parsed";
+    } catch (const error::CorruptInput& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(paths[early] + ":"), std::string::npos) << what;
+      EXPECT_EQ(what.find(paths[late]), std::string::npos) << what;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 // -------------------------------------------------------------- synthetic

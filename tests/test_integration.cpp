@@ -379,6 +379,19 @@ TEST_F(GasCli, CorruptPersistedSketchExitsWithCorruptCode) {
   EXPECT_NE(result.output.find("sketch"), std::string::npos) << result.output;
 }
 
+TEST_F(GasCli, MalformedSampleFileExitsWithCorruptCode) {
+  // Each malformed .kmers line is typed corrupt input naming the file,
+  // whichever of the three inputs it sits in.
+  const fs::path bad = dir_ / "s1.kmers";
+  for (const char* text : {"# s1\n12abc\n", "# s1\n99999999999999999999\n",
+                           "# s1\n5\n5\n", "# s1\n7\n5\n", "# s1\n4194304\n"}) {
+    std::ofstream(bad, std::ios::trunc) << text;
+    const auto result = run_command(dist("--algorithm ring"));
+    EXPECT_EQ(result.exit_code, 3) << text << result.output;
+    EXPECT_NE(result.output.find(bad.string()), std::string::npos) << result.output;
+  }
+}
+
 TEST_F(GasCli, InjectedFaultExitsWithRankFailureCode) {
   const auto result =
       run_command(dist("--algorithm ring --fault-plan rank=1:op=2:throw"));

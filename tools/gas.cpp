@@ -134,7 +134,11 @@ int usage() {
                "  --no-numa          disable NUMA worker pinning + first-touch\n"
                "                     placement of the multiply stage\n"
                "exit codes: 0 ok, 1 generic error, 2 bad config/usage,\n"
-               "            3 corrupt input, 4 rank failure, 5 watchdog timeout,\n"
+               "            3 corrupt input (a damaged artifact, or a malformed\n"
+               "              .kmers line: not a base-10 uint64, duplicate or\n"
+               "              decreasing code, code >= 4^k; the message names\n"
+               "              the file, and path:line for a bad line),\n"
+               "            4 rank failure, 5 watchdog timeout,\n"
                "            6 protocol violation (--verify-protocol),\n"
                "            7 transient failure (retries exhausted or disabled),\n"
                "            8 resource exhausted (--mem-budget-mb / disk full),\n"
