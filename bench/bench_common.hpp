@@ -102,14 +102,15 @@ inline std::uint64_t result_output_bytes(const core::Result& result) {
 ///                        per-batch zero-row filter replication,
 ///   peak_root_output_bytes  rank-0 resident output (n²·8 dense,
 ///                        survivor-proportional sparse).
-/// CI diffs these against the previous run to track the perf trajectory.
+/// Nothing compares these lines automatically; diff two runs' files by
+/// hand to follow the byte trajectory.
 inline void append_result_bytes_json(const std::string& bench, const std::string& config,
                                      const core::Result& result,
                                      const std::string& path = "BENCH_result_bytes.json") {
   std::ofstream out(path, std::ios::app);
   if (!out) return;  // benches must not fail on a read-only workdir
   // One compact object per line through the shared emitter (obs/json.hpp)
-  // — same schema and byte format as before, so the CI diff keeps working.
+  // — same schema and byte format as before, so old and new files diff.
   obs::JsonWriter w(out);
   w.begin_object()
       .field("bench", bench)

@@ -2,8 +2,9 @@
 // the popcount-AND Eq. 7 kernels (legacy triplet merge-join vs the CSR
 // tiled kernel, same shapes so the speedup reads directly off the
 // items/sec column), CsrPanel construction, k-mer extraction, MinHash
-// sketching, and triplet normalization. These are the per-operation
-// costs behind every figure bench; regressions here move every curve.
+// sketching, triplet normalization, and the pack stage. These are the
+// per-operation costs behind every figure bench; regressions here move
+// every curve.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,6 +12,8 @@
 
 #include "baselines/minhash.hpp"
 #include "bench_common.hpp"
+#include "bsp/runtime.hpp"
+#include "core/packing.hpp"
 #include "distmat/csr.hpp"
 #include "distmat/spgemm.hpp"
 #include "genome/kmer.hpp"
@@ -271,6 +274,38 @@ void BM_NormalizeTriplets(benchmark::State& state) {
                           static_cast<std::int64_t>(count));
 }
 BENCHMARK(BM_NormalizeTriplets)->Arg(1 << 12)->Arg(1 << 16);
+
+/// Pack stage on one rank: zero-row filter union (local merge, slicing,
+/// encode/decode round trip), merge-walk compaction and bitmask packing
+/// of 16 sorted samples drawn from one batch of a k = 21 k-mer universe
+/// (hypersparse, so the filter lists take the delta-varint encoding).
+/// Arg: values per sample.
+void BM_PackBatch(benchmark::State& state) {
+  const std::int64_t universe = std::int64_t{1} << 42;
+  const BlockRange rows = sas::distmat::block_range(universe, 4, 1);
+  Rng rng(21);
+  sas::core::BatchReads reads;
+  for (std::int64_t s = 0; s < 16; ++s) {
+    std::vector<std::int64_t> values(static_cast<std::size_t>(state.range(0)));
+    for (auto& v : values) {
+      v = rows.begin + static_cast<std::int64_t>(
+                           rng.uniform(static_cast<std::uint64_t>(rows.size())));
+    }
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    reads.samples.push_back(s);
+    reads.values.push_back(std::move(values));
+  }
+  for (auto _ : state) {
+    sas::bsp::Runtime::run(1, [&](sas::bsp::Comm& comm) {
+      auto packed = sas::core::pack_batch(comm, reads, rows, 64, /*use_filter=*/true);
+      benchmark::DoNotOptimize(packed.triplets.data());
+    });
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16 *
+                          state.range(0));
+}
+BENCHMARK(BM_PackBatch)->Arg(1 << 12)->Arg(1 << 15);
 
 /// Tracing-overhead gate (ROADMAP "Observability"): the span layer must
 /// stay cheap enough to leave on — every instrumentation site is one

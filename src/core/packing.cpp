@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "distmat/dist_filter.hpp"
+#include "obs/trace.hpp"
 
 namespace sas::core {
 
@@ -34,13 +35,17 @@ PackedBatch pack_batch(bsp::Comm& comm, const BatchReads& reads,
   // Offsets are relative to the batch start (reads carry global ids).
   std::vector<std::int64_t> filter;
   if (use_filter) {
-    std::vector<std::int64_t> observed;
-    for (const auto& values : reads.values) {
-      for (std::int64_t v : values) observed.push_back(v - rows.begin);
-    }
+    obs::Span local_span("pack/local-union", "pack", &comm.counters());
+    const std::vector<std::span<const std::int64_t>> lists(reads.values.begin(),
+                                                           reads.values.end());
+    std::vector<std::int64_t> observed = distmat::sorted_union(lists);
+    for (std::int64_t& v : observed) v -= rows.begin;
+    local_span.close();
+    const obs::Span union_span("pack/filter-union", "pack", &comm.counters());
     filter = distmat::distributed_index_union(
         comm, std::span<const std::int64_t>(observed), batch_height, compress_filter);
   }
+  const obs::Span compact_span("pack/compact", "pack");
 
   PackedBatch out;
   out.filtered_rows = use_filter ? static_cast<std::int64_t>(filter.size()) : batch_height;
@@ -53,15 +58,16 @@ PackedBatch pack_batch(bsp::Comm& comm, const BatchReads& reads,
   // than the raw offsets, so amortized growth beats reserving the loose
   // offset-count bound (which would pin up to 64× the needed capacity for
   // the batch's lifetime).
-  const std::span<const std::int64_t> filter_span(filter);
   for (std::size_t s = 0; s < reads.samples.size(); ++s) {
     const std::int64_t col = reads.samples[s];
+    const std::vector<std::int64_t>& values = reads.values[s];
+    const std::vector<std::int64_t> ids =
+        use_filter ? distmat::compact_sorted_rows(filter, values, rows.begin)
+                   : std::vector<std::int64_t>{};
     std::int64_t current_word = -1;
     std::uint64_t mask = 0;
-    for (std::int64_t value : reads.values[s]) {
-      const std::int64_t offset = value - rows.begin;
-      const std::int64_t compacted =
-          use_filter ? distmat::compact_row_id(filter_span, offset) : offset;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const std::int64_t compacted = use_filter ? ids[i] : values[i] - rows.begin;
       const std::int64_t word = compacted / bit_width;
       const int bit = static_cast<int>(compacted % bit_width);
       if (word != current_word) {

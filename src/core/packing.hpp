@@ -58,6 +58,16 @@ struct PackedBatch {
 /// `use_filter` toggles the zero-row compaction (Eq. 5–6);
 /// `compress_filter` replicates the filter union as a compressed bitmap
 /// (dist_filter.hpp) instead of raw indices — same filter, fewer bytes.
+/// Each `reads.values` list must be sorted and unique. Child spans
+/// (category "pack") time the phases; the first two run only with the
+/// filter on:
+///   pack/local-union  — sorted_union merges this rank's sorted reads;
+///   pack/filter-union — distributed_index_union slices that union per
+///                       owner, encodes each slice in the smaller body,
+///                       merges owner-side and decodes the replicated
+///                       filter in place;
+///   pack/compact      — compact_sorted_rows merge-walks each sample
+///                       against the filter, then bits are packed.
 [[nodiscard]] PackedBatch pack_batch(bsp::Comm& comm, const BatchReads& reads,
                                      distmat::BlockRange rows, int bit_width,
                                      bool use_filter, bool compress_filter = true);

@@ -10,6 +10,22 @@
 // implicit in the sorted order: the compacted row id of global row g is
 // its position in the returned sorted vector (Eq. 6).
 //
+// == Sort-free flow =======================================================
+//
+// Nothing that arrives sorted is sorted again:
+//   * local union — pack_batch merges its samples' sorted reads with
+//     sorted_union (a balanced pairwise std::set_union tree);
+//   * owner slices — owners hold contiguous blocks, so each owner's share
+//     of the sorted contribution is one slice cut at its block boundary
+//     (adjacent duplicates drop in that pass; only unsorted input is
+//     sorted first);
+//   * owner merge — each owner merges its p decoded sorted lists;
+//   * replication — every gathered list decodes once, straight into the
+//     result with its range offset added, into a vector sized up front;
+//   * compaction — compact_sorted_rows walks one sorted sample against
+//     the sorted filter with a forward cursor (short probe, then
+//     galloping), so there is no per-value binary search.
+//
 // == Replication bytes ===================================================
 //
 // Replicating the union as raw 8-byte indices costs O(p · |union| · 8)
@@ -53,10 +69,14 @@
 namespace sas::distmat {
 
 /// Sorted union of all ranks' index lists, replicated on every rank.
-/// `universe` bounds the index range and defines block ownership.
+/// `universe` bounds the index range and defines block ownership; every
+/// index must lie in [0, universe) (std::invalid_argument otherwise).
+/// `mine` may be in any order and hold duplicates; sorted input skips
+/// the local sort.
 /// `compress` ships every index list in the compressed set encoding
 /// (see the replication-bytes note above); the returned union is
-/// identical either way.
+/// identical either way. A damaged list from another rank throws
+/// sas::error::CorruptInput.
 [[nodiscard]] std::vector<std::int64_t> distributed_index_union(
     bsp::Comm& comm, std::span<const std::int64_t> mine, std::int64_t universe,
     bool compress = true);
@@ -64,8 +84,10 @@ namespace sas::distmat {
 /// Compressed encoding of a SORTED, UNIQUE index set within [0, extent):
 /// one mode word — word-RLE bitmap (0), raw index list (1), or
 /// delta-varint gaps (2) — followed by that mode's body, whichever of
-/// the three encodes smallest (the replication-bytes note above walks
-/// the tradeoff). An empty set encodes to an empty vector.
+/// the three encodes smallest, ties going to RLE, then delta (the
+/// replication-bytes note above walks the tradeoff). The body sizes are
+/// counted first and only the winner is built. An empty set encodes to
+/// an empty vector.
 [[nodiscard]] std::vector<std::uint64_t> encode_index_set(
     std::span<const std::int64_t> sorted, std::int64_t extent);
 
@@ -76,10 +98,18 @@ namespace sas::distmat {
 [[nodiscard]] std::vector<std::int64_t> decode_index_set(
     std::span<const std::uint64_t> words, std::int64_t extent);
 
-/// Compacted id of `global_row` in the sorted filter (Eq. 6), i.e. the
-/// prefix-sum p⁽ˡ⁾ evaluated at a nonzero row. Precondition: present.
-[[nodiscard]] std::int64_t compact_row_id(std::span<const std::int64_t> sorted_filter,
-                                          std::int64_t global_row);
+/// Sorted, deduplicated union of SORTED, UNIQUE lists, merged by a
+/// balanced pairwise std::set_union tree (no heap, no global sort).
+[[nodiscard]] std::vector<std::int64_t> sorted_union(
+    std::span<const std::span<const std::int64_t>> lists);
+
+/// Compacted ids (Eq. 6) of one SORTED sample's rows — the prefix sum
+/// p⁽ˡ⁾ of the sorted filter evaluated at each `sorted_rows[i] - base`.
+/// A merge-walk with a forward cursor: a short linear probe, then
+/// galloping. Throws std::logic_error if a row is not in the filter.
+[[nodiscard]] std::vector<std::int64_t> compact_sorted_rows(
+    std::span<const std::int64_t> sorted_filter, std::span<const std::int64_t> sorted_rows,
+    std::int64_t base = 0);
 
 /// Collective: replace every rank's `mask` with the bitwise-OR union of
 /// all ranks' masks, then symmetrize. All ranks must pass masks of the

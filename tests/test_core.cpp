@@ -3,7 +3,9 @@
 // d_J metric property, and the synthetic Bernoulli source's consistency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "core/matrix_io.hpp"
 #include "core/packing.hpp"
 #include "core/sample_source.hpp"
+#include "distmat/dist_filter.hpp"
 #include "util/error.hpp"
 #include "util/popcount.hpp"
 #include "util/rng.hpp"
@@ -39,32 +42,30 @@ std::set<std::pair<std::int64_t, std::int64_t>> unpack(
   return bits;
 }
 
-class PackingTest : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
-
-TEST_P(PackingTest, RoundTripsEveryBit) {
-  const auto [nranks, bit_width, use_filter] = GetParam();
-  const std::int64_t m = 300;
-  VectorSampleSource src(m, {{5, 17, 100, 299},
-                             {5, 6, 7, 8, 9, 150},
-                             {},
-                             {0, 299},
-                             {17, 100}});
-
+/// Packs batch `rows` of `src` on `nranks` ranks and checks every bit,
+/// the filtered row count and the word-row count against a serial
+/// compaction of the batch's nonzero rows.
+void expect_pack_round_trip(const VectorSampleSource& src, distmat::BlockRange rows,
+                            int nranks, int bit_width, bool use_filter) {
   // Expected (compact_row, col) pairs, built serially.
   std::set<std::int64_t> nonzero_rows;
   for (std::int64_t i = 0; i < src.sample_count(); ++i) {
-    for (std::int64_t v : src.sample(i)) nonzero_rows.insert(v);
+    for (std::int64_t v : src.sample(i)) {
+      if (rows.contains(v)) nonzero_rows.insert(v - rows.begin);
+    }
   }
   std::vector<std::int64_t> sorted_rows(nonzero_rows.begin(), nonzero_rows.end());
-  auto compact = [&](std::int64_t v) -> std::int64_t {
-    if (!use_filter) return v;
+  auto compact = [&](std::int64_t offset) -> std::int64_t {
+    if (!use_filter) return offset;
     return static_cast<std::int64_t>(
-        std::lower_bound(sorted_rows.begin(), sorted_rows.end(), v) -
+        std::lower_bound(sorted_rows.begin(), sorted_rows.end(), offset) -
         sorted_rows.begin());
   };
   std::set<std::pair<std::int64_t, std::int64_t>> expected;
   for (std::int64_t i = 0; i < src.sample_count(); ++i) {
-    for (std::int64_t v : src.sample(i)) expected.insert({compact(v), i});
+    for (std::int64_t v : src.sample(i)) {
+      if (rows.contains(v)) expected.insert({compact(v - rows.begin), i});
+    }
   }
 
   std::mutex mutex;
@@ -72,8 +73,7 @@ TEST_P(PackingTest, RoundTripsEveryBit) {
   std::int64_t word_rows = -1;
   std::int64_t filtered_rows = -1;
   bsp::Runtime::run(nranks, [&](bsp::Comm& comm) {
-    PackedBatch packed =
-        pack_batch(comm, src, distmat::BlockRange{0, m}, bit_width, use_filter);
+    PackedBatch packed = pack_batch(comm, src, rows, bit_width, use_filter);
     const auto bits = unpack(packed.triplets, bit_width);
     std::lock_guard<std::mutex> lock(mutex);
     got.insert(bits.begin(), bits.end());
@@ -82,14 +82,62 @@ TEST_P(PackingTest, RoundTripsEveryBit) {
   });
 
   EXPECT_EQ(got, expected);
-  const std::int64_t rows = use_filter ? static_cast<std::int64_t>(sorted_rows.size()) : m;
-  EXPECT_EQ(filtered_rows, rows);
-  EXPECT_EQ(word_rows, (rows + bit_width - 1) / bit_width);
+  const std::int64_t kept =
+      use_filter ? static_cast<std::int64_t>(sorted_rows.size()) : rows.size();
+  EXPECT_EQ(filtered_rows, kept);
+  EXPECT_EQ(word_rows, (kept + bit_width - 1) / bit_width);
+}
+
+class PackingTest : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
+
+TEST_P(PackingTest, RoundTripsEveryBit) {
+  const auto [nranks, bit_width, use_filter] = GetParam();
+  const std::int64_t m = 300;
+  const VectorSampleSource src(m, {{5, 17, 100, 299},
+                                   {5, 6, 7, 8, 9, 150},
+                                   {},
+                                   {0, 299},
+                                   {},
+                                   {17, 100}});
+  expect_pack_round_trip(src, distmat::BlockRange{0, m}, nranks, bit_width, use_filter);
+}
+
+TEST_P(PackingTest, HypersparseBatchRoundTrips) {
+  // A k = 21 k-mer universe: the filter union is hypersparse (gaps of
+  // ~10^9 rows, so the delta-varint encoding carries it) and the batch
+  // starts far from row 0, so every offset is exercised.
+  const auto [nranks, bit_width, use_filter] = GetParam();
+  const std::int64_t universe = std::int64_t{1} << 42;
+  Rng rng(2121);
+  std::vector<std::vector<std::int64_t>> samples(16);
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    if (s % 7 == 3) continue;  // empty samples
+    for (int i = 0; i < 200; ++i) {
+      samples[s].push_back(static_cast<std::int64_t>(
+          rng.uniform(static_cast<std::uint64_t>(universe))));
+    }
+  }
+  const VectorSampleSource src(universe, std::move(samples));
+  const distmat::BlockRange rows = distmat::block_range(universe, 4, 1);
+  ASSERT_GT(rows.begin, 0);
+
+  std::vector<std::int64_t> batch_rows;
+  for (std::int64_t i = 0; i < src.sample_count(); ++i) {
+    for (std::int64_t v : src.sample(i)) {
+      if (rows.contains(v)) batch_rows.push_back(v - rows.begin);
+    }
+  }
+  std::sort(batch_rows.begin(), batch_rows.end());
+  batch_rows.erase(std::unique(batch_rows.begin(), batch_rows.end()), batch_rows.end());
+  ASSERT_EQ(distmat::encode_index_set(batch_rows, rows.size()).front(), 2U)
+      << "the batch's filter must take the delta encoding";
+
+  expect_pack_round_trip(src, rows, nranks, bit_width, use_filter);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PackingTest,
-    ::testing::Combine(::testing::Values(1, 2, 5), ::testing::Values(1, 8, 64),
+    ::testing::Combine(::testing::Values(1, 2, 5, 8), ::testing::Values(1, 8, 64),
                       ::testing::Values(true, false)));
 
 TEST(Packing, RejectsBadBitWidth) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <mutex>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "bsp/runtime.hpp"
@@ -141,17 +142,53 @@ TEST_P(FilterTest, UnionMatchesSerialSetUnion) {
   });
 }
 
-TEST_P(FilterTest, CompactRowIdIsThePrefixSum) {
+TEST_P(FilterTest, ShuffledDuplicateInputMatchesSerialUnion) {
+  const int p = GetParam();
+  const std::int64_t universe = 5000;
+  // Rank r's contribution: random indices, each repeated, then shuffled —
+  // the unsorted-input path. Rank 1 contributes nothing.
+  auto contribution = [&](int rank) {
+    std::vector<std::int64_t> mine;
+    if (rank == 1) return mine;
+    Rng rng(static_cast<std::uint64_t>(70 + rank));
+    for (int i = 0; i < 300; ++i) {
+      const auto v = static_cast<std::int64_t>(rng.uniform(universe));
+      mine.insert(mine.end(), {v, v});
+    }
+    std::shuffle(mine.begin(), mine.end(), rng);
+    return mine;
+  };
+  std::set<std::int64_t> expected;
+  for (int r = 0; r < p; ++r) {
+    const auto mine = contribution(r);
+    expected.insert(mine.begin(), mine.end());
+  }
+  const std::vector<std::int64_t> want(expected.begin(), expected.end());
+  bsp::Runtime::run(p, [&](bsp::Comm& comm) {
+    const auto mine = contribution(comm.rank());
+    for (const bool compress : {false, true}) {
+      EXPECT_EQ(distributed_index_union(comm, mine, universe, compress), want)
+          << "compress=" << compress;
+    }
+  });
+}
+
+TEST_P(FilterTest, CompactSortedRowsIsThePrefixSum) {
   const int p = GetParam();
   bsp::Runtime::run(p, [](bsp::Comm& comm) {
     std::vector<std::int64_t> mine;
     if (comm.rank() == 0) mine = {10, 40, 70, 200};
     const auto filter = distributed_index_union(comm, mine, 1000);
     ASSERT_EQ(filter.size(), 4u);
-    EXPECT_EQ(compact_row_id(filter, 10), 0);
-    EXPECT_EQ(compact_row_id(filter, 40), 1);
-    EXPECT_EQ(compact_row_id(filter, 200), 3);
-    EXPECT_THROW((void)compact_row_id(filter, 11), std::logic_error);
+    const std::vector<std::int64_t> rows = {10, 40, 200};
+    EXPECT_EQ(compact_sorted_rows(filter, rows), (std::vector<std::int64_t>{0, 1, 3}));
+    const std::vector<std::int64_t> global_rows = {5010, 5040, 5200};
+    EXPECT_EQ(compact_sorted_rows(filter, global_rows, 5000),
+              (std::vector<std::int64_t>{0, 1, 3}));
+    const std::vector<std::int64_t> absent = {10, 11};
+    EXPECT_THROW((void)compact_sorted_rows(filter, absent), std::logic_error);
+    const std::vector<std::int64_t> past_end = {200, 201};
+    EXPECT_THROW((void)compact_sorted_rows(filter, past_end), std::logic_error);
   });
 }
 
@@ -232,6 +269,123 @@ TEST(FilterEncoding, RoundTripsEveryShape) {
       0, skip_only, skip_only, skip_only, (1ULL << 32) | 1, 1};
   EXPECT_THROW((void)decode_index_set(std::span<const std::uint64_t>(runaway_skip), 64),
                sas::error::CorruptInput);
+}
+
+// Encoder output recorded from the encoder that built both bodies and
+// kept the smaller; sizing before building must pick the same mode and
+// emit the same words.
+TEST(FilterEncoding, WireFormatIsFrozen) {
+  struct Golden {
+    const char* name;
+    std::vector<std::int64_t> indices;
+    std::int64_t extent;
+    std::vector<std::uint64_t> words;
+  };
+  std::vector<Golden> cases;
+  {
+    Golden g{"dense RLE run", {}, 300,
+             {0x0ULL, 0x4ULL, 0xfffffffffffffff8ULL, 0xffffffffffffffffULL,
+              0xffffffffffffffffULL, 0x1ffULL}};
+    for (std::int64_t v = 3; v <= 200; ++v) g.indices.push_back(v);
+    cases.push_back(std::move(g));
+  }
+  {
+    Golden g{"one-zero-word gaps", {}, 1000,
+             {0x0ULL, 0x5ULL, 0x9249249249249249ULL, 0x0ULL, 0x2492492492492492ULL, 0x0ULL,
+              0x4924924924924924ULL, 0x500000002ULL, 0x4924924924924924ULL,
+              0x2492492492492492ULL}};
+    for (std::int64_t v = 0; v < 768; v += 3) {
+      if (v < 64 || (v >= 128 && v < 192) || (v >= 256 && v < 320) || v >= 640) {
+        g.indices.push_back(v);
+      }
+    }
+    cases.push_back(std::move(g));
+  }
+  {
+    Golden g{"skip wider than kMax32", {}, std::int64_t{1} << 40,
+             {0x0ULL, 0xffffffff00000000ULL, 0xffffffff00000000ULL, 0x700000004ULL,
+              0x5555555555555555ULL, 0x5555555555555555ULL, 0x5555555555555555ULL,
+              0x5555555555555555ULL}};
+    const std::int64_t first = ((std::int64_t{1} << 33) + 5) * 64;
+    for (std::int64_t v = first; v < first + 256; v += 2) g.indices.push_back(v);
+    cases.push_back(std::move(g));
+  }
+  {
+    Golden g{"hypersparse delta gaps", {}, std::int64_t{1} << 42,
+             {0x2ULL,
+              0xe2ad9604e2ad9401ULL, 0xe2ad9a04e2ad9804ULL, 0xe2ad9e04e2ad9c04ULL,
+              0xe2ada204e2ada004ULL, 0xe2ada604e2ada404ULL, 0xe2adaa04e2ada804ULL,
+              0xe2adae04e2adac04ULL, 0xe2adb204e2adb004ULL, 0xe2adb604e2adb404ULL,
+              0xe2adba04e2adb804ULL, 0xe2adbe04e2adbc04ULL, 0xe2adc204e2adc004ULL,
+              0xe2adc604e2adc404ULL, 0xe2adca04e2adc804ULL, 0xe2adce04e2adcc04ULL,
+              0xe2a5ea04e2add004ULL, 0xe2add604e2add404ULL, 0xe2adda04e2add804ULL,
+              0xe2adde04e2addc04ULL, 0x4e2ade004ULL}};
+    for (std::int64_t i = 0; i < 40; ++i) g.indices.push_back(i * 10000019 + (i * i) % 1000);
+    cases.push_back(std::move(g));
+  }
+  cases.push_back({"raw list fallthrough",
+                   {std::int64_t{1} << 56, (std::int64_t{1} << 57) + 3},
+                   std::int64_t{1} << 58,
+                   {0x1ULL, 0x100000000000000ULL, 0x200000000000003ULL}});
+  {
+    // RLE and delta both take 2 body words: the tie goes to RLE.
+    Golden g{"rle/delta tie", {}, 64, {0x0ULL, 0x1ULL, 0xffffULL}};
+    for (std::int64_t v = 0; v < 16; ++v) g.indices.push_back(v);
+    cases.push_back(std::move(g));
+  }
+  // Delta and the raw list both take 1 body word: the tie goes to delta.
+  cases.push_back({"delta/list tie",
+                   {std::int64_t{1} << 50},
+                   std::int64_t{1} << 51,
+                   {0x2ULL, 0x280808080808081ULL}});
+
+  for (const Golden& g : cases) {
+    const auto words = encode_index_set(std::span<const std::int64_t>(g.indices), g.extent);
+    EXPECT_EQ(words, g.words) << g.name;
+    EXPECT_EQ(decode_index_set(std::span<const std::uint64_t>(g.words), g.extent), g.indices)
+        << g.name;
+  }
+}
+
+TEST(FilterCompaction, MergeWalkMatchesBinarySearch) {
+  // Sparse and dense samples against one filter: the dense ones stay in
+  // the linear probe, the sparse ones gallop.
+  Rng rng(515);
+  std::vector<std::int64_t> filter;
+  for (std::int64_t v = 0; v < 200000; ++v) {
+    if (rng.bernoulli(0.3)) filter.push_back(v);
+  }
+  for (const double keep : {1.0, 0.5, 0.01, 0.0001}) {
+    std::vector<std::int64_t> rows;
+    for (std::int64_t v : filter) {
+      if (rng.bernoulli(keep)) rows.push_back(v + 7);
+    }
+    std::vector<std::int64_t> want;
+    for (std::int64_t v : rows) {
+      want.push_back(std::lower_bound(filter.begin(), filter.end(), v - 7) - filter.begin());
+    }
+    EXPECT_EQ(compact_sorted_rows(filter, rows, 7), want) << "keep=" << keep;
+  }
+  const std::vector<std::int64_t> beyond = {filter.back() + 1};
+  EXPECT_THROW((void)compact_sorted_rows(filter, beyond), std::logic_error);
+  EXPECT_TRUE(compact_sorted_rows(filter, {}).empty());
+}
+
+TEST(SortedUnion, MergesAnyListCount) {
+  for (std::size_t count : {0U, 1U, 2U, 3U, 5U, 16U, 17U}) {
+    Rng rng(count);
+    std::vector<std::vector<std::int64_t>> lists(count);
+    std::set<std::int64_t> expected;
+    for (auto& list : lists) {
+      for (std::int64_t v = 0; v < 3000; ++v) {
+        if (rng.bernoulli(0.02)) list.push_back(v);
+      }
+      expected.insert(list.begin(), list.end());
+    }
+    const std::vector<std::span<const std::int64_t>> views(lists.begin(), lists.end());
+    EXPECT_EQ(sorted_union(views), std::vector<std::int64_t>(expected.begin(), expected.end()))
+        << count << " lists";
+  }
 }
 
 TEST_P(FilterTest, CompressedUnionMatchesRawBitForBit) {
