@@ -19,10 +19,12 @@ using namespace sas::bench;
 
 namespace {
 
-/// Predicted bandwidth volume per rank (bytes): entries are 24-byte
-/// triplets, the dense reduction moves 8-byte words.
+/// Predicted bandwidth volume per rank (bytes): an entry travels in the
+/// panel wire as a 4-byte column index plus an 8-byte mask (row ids and
+/// row lengths amortize over each row's entries); the dense reduction
+/// moves 8-byte words.
 double predicted_bytes(double z, double n, int p, int c) {
-  const double input_term = 24.0 * 2.0 * z / std::sqrt(static_cast<double>(c * p));
+  const double input_term = 12.0 * 2.0 * z / std::sqrt(static_cast<double>(c * p));
   const double output_term = 8.0 * static_cast<double>(c) * n * n / p;
   return input_term + output_term;
 }

@@ -2,7 +2,7 @@
 // the popcount-AND Eq. 7 kernels (legacy triplet merge-join vs the CSR
 // tiled kernel, same shapes so the speedup reads directly off the
 // items/sec column), CsrPanel construction, k-mer extraction, MinHash
-// sketching, triplet normalization, and the pack stage. These are the
+// sketching, the column-run exchange's panel build, and the pack stage. These are the
 // per-operation costs behind every figure bench; regressions here move
 // every curve.
 #include <benchmark/benchmark.h>
@@ -15,6 +15,7 @@
 #include "bsp/runtime.hpp"
 #include "core/packing.hpp"
 #include "distmat/csr.hpp"
+#include "distmat/panel_wire.hpp"
 #include "distmat/spgemm.hpp"
 #include "genome/kmer.hpp"
 #include "genome/synthetic.hpp"
@@ -254,26 +255,46 @@ void BM_MinHashSketch(benchmark::State& state) {
 }
 BENCHMARK(BM_MinHashSketch)->Arg(128)->Arg(1024)->Arg(8192);
 
-/// Accumulating-write normalization (sort + OR-merge), the local half of
-/// every redistribution.
-void BM_NormalizeTriplets(benchmark::State& state) {
+/// Column-run exchange, local work of one rank: slice 128 column runs
+/// into one owner's message (encode_column_runs) and build the received
+/// CsrPanel from it (decode_column_runs: row-set decode, sorted_union,
+/// merge-walk compaction, counting scatter). Arg 0 = dense (512 word-rows
+/// at fill 0.5, RLE row sets); Arg 1 = hypersparse (256 rows per column
+/// spread over 2³⁶ word-rows, delta-varint row sets). Same entry count.
+void BM_PanelExchangeBuild(benchmark::State& state) {
+  const bool hypersparse = state.range(0) != 0;
+  const std::int64_t rows = hypersparse ? std::int64_t{1} << 36 : 512;
+  const std::int64_t cols = 128;
   Rng rng(13);
-  const auto count = static_cast<std::size_t>(state.range(0));
-  std::vector<Triplet<std::uint64_t>> base(count);
-  for (auto& t : base) {
-    t = {static_cast<std::int64_t>(rng.uniform(1024)),
-         static_cast<std::int64_t>(rng.uniform(256)), rng()};
+  sas::distmat::ColumnRuns runs;
+  for (std::int64_t c = 0; c < cols; ++c) {
+    std::vector<std::int64_t> column;
+    if (hypersparse) {
+      for (int i = 0; i < 256; ++i) {
+        column.push_back(static_cast<std::int64_t>(rng.uniform(static_cast<std::uint64_t>(rows))));
+      }
+      std::sort(column.begin(), column.end());
+      column.erase(std::unique(column.begin(), column.end()), column.end());
+    } else {
+      for (std::int64_t r = 0; r < rows; ++r) {
+        if (rng.bernoulli(0.5)) column.push_back(r);
+      }
+    }
+    for (const std::int64_t r : column) {
+      runs.rows.push_back(r);
+      runs.masks.push_back(rng() | 1);
+    }
+    runs.close_run(c);
   }
+  const sas::distmat::PanelOwnerMap owners = sas::distmat::serial_owner_map(rows, cols);
   for (auto _ : state) {
-    auto copy = base;
-    sas::distmat::normalize_triplets(
-        copy, [](std::uint64_t a, std::uint64_t b) { return a | b; });
-    benchmark::DoNotOptimize(copy.data());
+    const auto messages = sas::distmat::encode_column_runs(runs, owners, 1);
+    auto panel = sas::distmat::decode_column_runs(messages, rows, cols);
+    benchmark::DoNotOptimize(panel.values.data());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(count));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * runs.nnz());
 }
-BENCHMARK(BM_NormalizeTriplets)->Arg(1 << 12)->Arg(1 << 16);
+BENCHMARK(BM_PanelExchangeBuild)->Arg(0)->Arg(1);
 
 /// Pack stage on one rank: zero-row filter union (local merge, slicing,
 /// encode/decode round trip), merge-walk compaction and bitmask packing
@@ -299,7 +320,7 @@ void BM_PackBatch(benchmark::State& state) {
   for (auto _ : state) {
     sas::bsp::Runtime::run(1, [&](sas::bsp::Comm& comm) {
       auto packed = sas::core::pack_batch(comm, reads, rows, 64, /*use_filter=*/true);
-      benchmark::DoNotOptimize(packed.triplets.data());
+      benchmark::DoNotOptimize(packed.runs.masks.data());
     });
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16 *

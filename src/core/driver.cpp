@@ -21,7 +21,7 @@
 #include "distmat/dist_filter.hpp"
 #include "distmat/gather.hpp"
 #include "distmat/proc_grid.hpp"
-#include "distmat/redistribute.hpp"
+#include "distmat/panel_wire.hpp"
 #include "distmat/spgemm.hpp"
 #include "sketch/exchange.hpp"
 #include "util/hashing.hpp"
@@ -73,7 +73,6 @@ namespace {
 
 using distmat::BlockRange;
 using distmat::DenseBlock;
-using distmat::SparseBlock;
 using distmat::Triplet;
 
 /// Finalize one local block: sᵢⱼ = bᵢⱼ / (âᵢ + âⱼ − bᵢⱼ), with the
@@ -161,19 +160,19 @@ Layout make_layout(bsp::Comm& world, const Config& config, std::int64_t n) {
   return layout;
 }
 
-/// Exchange + multiply stages for one packed batch. With a candidate
-/// mask (`prune`, hybrid rescore): the ring schedule is replaced by the
+/// Exchange + multiply stages for one packed batch. The column runs move
+/// onto the schedule's owner map in one exchange; with a candidate mask
+/// (`prune`, hybrid rescore) the ring schedule is replaced by the
 /// mask-targeted alltoall exchange, and the kernels skip fully pruned
 /// blocks/tiles everywhere.
 void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& config,
                            std::int64_t n, PackedBatch packed,
                            std::vector<std::int64_t>& ahat, StageRecorder& recorder,
                            const distmat::CandidateMask* prune) {
-  const int p = world.size();
   const std::int64_t h = packed.word_rows;
 
-  // Kernel tuning shared by all schedules: CSR panels are built once
-  // per redistributed batch (not re-derived per ring step / SUMMA
+  // Kernel tuning shared by all schedules: each panel is built or
+  // decoded once per batch (not re-derived per ring step / SUMMA
   // stage), and large output blocks may thread the tile accumulation.
   distmat::CsrAtaOptions kernel_options;
   kernel_options.threads = config.kernel_threads;
@@ -181,87 +180,58 @@ void exchange_and_multiply(bsp::Comm& world, Layout& layout, const Config& confi
   kernel_options.numa_aware = config.numa_aware;
   kernel_options.prune = prune;
 
+  distmat::PanelOwnerMap owners;
   switch (config.algorithm) {
-    case Algorithm::kSerial: {
-      std::vector<Triplet<std::uint64_t>> merged;
-      {
-        auto stage = recorder.scope(Stage::kExchange);
-        merged = distmat::redistribute_triplets(
-            world, std::move(packed.triplets),
-            [](std::int64_t, std::int64_t) { return 0; },
-            [](std::uint64_t a, std::uint64_t b) { return a | b; });
-      }
+    case Algorithm::kSerial:
+      owners = distmat::serial_owner_map(h, n);
+      break;
+    case Algorithm::kRing1D:
+      owners = distmat::ring_owner_map(h, n, world.size());
+      break;
+    case Algorithm::kSumma:
+      owners = distmat::summa_owner_map(h, n, *layout.grid);
+      break;
+  }
+  // This rank's cell, with cell-local row and column ids.
+  distmat::CsrPanel panel;
+  {
+    auto stage = recorder.scope(Stage::kExchange);
+    panel = distmat::exchange_column_runs(world, std::move(packed.runs), owners);
+  }
+
+  switch (config.algorithm) {
+    case Algorithm::kSerial:
       if (world.rank() == 0) {
         auto stage = recorder.scope(Stage::kMultiply);
-        SparseBlock block{h, n, std::move(merged)};
-        const distmat::CsrPanel panel = distmat::CsrPanel::from_block(block);
         distmat::csr_popcount_ata_accumulate(panel, panel, 0, 0, *layout.b_block,
                                              &world.counters(), kernel_options);
-        distmat::accumulate_column_popcounts(block, 0, ahat);
+        distmat::accumulate_column_popcounts(panel, 0, ahat);
       }
       break;
-    }
     case Algorithm::kRing1D: {
-      std::vector<Triplet<std::uint64_t>> merged;
-      {
-        auto stage = recorder.scope(Stage::kExchange);
-        merged = distmat::redistribute_triplets(
-            world, std::move(packed.triplets),
-            [n, p](std::int64_t, std::int64_t col) {
-              return distmat::block_owner(n, p, col);
-            },
-            [](std::uint64_t a, std::uint64_t b) { return a | b; });
-        // Localize columns to this rank's panel; rows stay global.
-        for (auto& t : merged) t.col -= layout.my_cols.begin;
+      // Multiply time; the only bytes inside are panel movement hops.
+      auto stage = recorder.scope(Stage::kMultiply, Stage::kExchange);
+      if (prune != nullptr) {
+        distmat::targeted_ata_accumulate(world, n, panel, *prune, *layout.b_block,
+                                         kernel_options);
+      } else {
+        distmat::ring_ata_accumulate(world, n, panel, *layout.b_block,
+                                     config.ring_overlap
+                                         ? distmat::RingSchedule::kOverlapped
+                                         : distmat::RingSchedule::kSynchronous,
+                                     kernel_options);
       }
-      SparseBlock panel{h, layout.my_cols.size(), std::move(merged)};
-      {
-        // Multiply time; the only bytes inside are panel movement hops.
-        auto stage = recorder.scope(Stage::kMultiply, Stage::kExchange);
-        if (prune != nullptr) {
-          distmat::targeted_ata_accumulate(world, n, panel, *prune, *layout.b_block,
-                                           kernel_options);
-        } else {
-          distmat::ring_ata_accumulate(world, n, panel, *layout.b_block,
-                                       config.ring_overlap
-                                           ? distmat::RingSchedule::kOverlapped
-                                           : distmat::RingSchedule::kSynchronous,
-                                       kernel_options);
-        }
-        distmat::accumulate_column_popcounts(panel, layout.my_cols.begin, ahat);
-      }
+      distmat::accumulate_column_popcounts(panel, layout.my_cols.begin, ahat);
       break;
     }
-    case Algorithm::kSumma: {
-      const int s = layout.grid->side();
-      const int c = layout.grid->layers();
-      std::vector<Triplet<std::uint64_t>> merged;
-      {
-        auto stage = recorder.scope(Stage::kExchange);
-        merged = distmat::redistribute_triplets(
-            world, std::move(packed.triplets),
-            [&](std::int64_t w, std::int64_t col) {
-              const int q = distmat::block_owner(h, s * c, w);
-              const int j = distmat::block_owner(n, s, col);
-              return layout.grid->world_rank_of(q / s, q % s, j);
-            },
-            [](std::uint64_t a, std::uint64_t b) { return a | b; });
-      }
+    case Algorithm::kSumma:
       if (layout.grid->active()) {
-        const int q = layout.grid->layer() * s + layout.grid->grid_row();
-        const BlockRange chunk = distmat::block_range(h, s * c, q);
-        for (auto& t : merged) {
-          t.row -= chunk.begin;
-          t.col -= layout.my_cols.begin;
-        }
-        SparseBlock block{chunk.size(), layout.my_cols.size(), std::move(merged)};
         auto stage = recorder.scope(Stage::kMultiply, Stage::kExchange);
-        distmat::summa_ata_accumulate(*layout.grid, block, *layout.b_block,
+        distmat::accumulate_column_popcounts(panel, layout.my_cols.begin, ahat);
+        distmat::summa_ata_accumulate(*layout.grid, h, std::move(panel), *layout.b_block,
                                       kernel_options);
-        distmat::accumulate_column_popcounts(block, layout.my_cols.begin, ahat);
       }
       break;
-    }
   }
 }
 
@@ -692,12 +662,10 @@ Result run_exact_pipeline(bsp::Comm& world, const SampleSource& source,
         packed = pack_batch(world, reads, rows, config.bit_width,
                             config.use_zero_row_filter, config.compress_filter);
       }
-      // Budget the packed batch for the exchange/multiply it feeds
+      // Budget the packed column runs for the exchange/multiply they feed
       // (released at body end; no-op without --mem-budget-mb).
-      const util::ScopedCharge packed_charge(
-          packed.triplets.size() * sizeof(Triplet<std::uint64_t>),
-          "packed batch triplets");
-      const auto local_nnz = static_cast<std::int64_t>(packed.triplets.size());
+      const util::ScopedCharge packed_charge(packed.runs.bytes(), "packed batch panel");
+      const auto local_nnz = packed.runs.nnz();
       const std::int64_t filtered_rows = packed.filtered_rows;
       const std::int64_t word_rows = packed.word_rows;
 
@@ -728,11 +696,11 @@ Result run_exact_pipeline(bsp::Comm& world, const SampleSource& source,
 ///      (O(nnz/p) per rank — the same order as the rank's share of the
 ///      input). Packing is deferred: the candidate mask is not known
 ///      yet, and packing first would spend filter-union traffic and
-///      triplet work on columns the mask is about to drop.
+///      packing work on columns the mask is about to drop.
 ///   2. The sketch exchange scores all pairs and thresholds them into
 ///      the replicated candidate mask (Ĵ ≥ prune_threshold − slack).
 ///   3. Rescore: columns with no surviving pair are dropped before
-///      redistribution, the ring schedule becomes the mask-targeted
+///      packing, the ring schedule becomes the mask-targeted
 ///      alltoall, and the kernels tile-skip pruned pairs. Surviving
 ///      pairs come out bitwise-identical to kExact (their columns keep
 ///      every entry and â is exact on active columns).
@@ -809,10 +777,9 @@ Result run_hybrid_pipeline(bsp::Comm& world, const SampleSource& source,
       Timer timer;
 
       // Mask-first packing: drop samples with no surviving pair BEFORE the
-      // pack, so the zero-row filter union and the triplet build never see
+      // pack, so the zero-row filter union and the column runs never see
       // them — a column the candidate pass pruned costs zero pack work and
-      // zero filter-union bytes (the old scheme packed everything, then
-      // erased pruned triplets after the fact). Dropped samples' â stays 0,
+      // zero filter-union bytes. Dropped samples' â stays 0,
       // their diagonal falls back to the J(∅, ∅) = 1 convention, and
       // off-diagonal entries are filled from the sketch estimates. Rows
       // observed only in pruned samples now leave the filter too; they
@@ -836,10 +803,8 @@ Result run_hybrid_pipeline(bsp::Comm& world, const SampleSource& source,
         packed = pack_batch(world, reads, rows, config.bit_width,
                             config.use_zero_row_filter, config.compress_filter);
       }
-      const util::ScopedCharge packed_charge(
-          packed.triplets.size() * sizeof(Triplet<std::uint64_t>),
-          "packed batch triplets");
-      const auto local_nnz = static_cast<std::int64_t>(packed.triplets.size());
+      const util::ScopedCharge packed_charge(packed.runs.bytes(), "packed batch panel");
+      const auto local_nnz = packed.runs.nnz();
       const std::int64_t filtered_rows = packed.filtered_rows;
       const std::int64_t word_rows = packed.word_rows;
 

@@ -9,8 +9,9 @@
 //   sketch      (pack_batch, Eq. 5–7) and/or streaming sketch
 //               construction from the SAME reads (sketch/exchange.hpp
 //               StreamingSketcher — the hybrid reads inputs once)
-//   exchange  — move data where it multiplies: triplet redistribution
-//               onto the grid, ring/SUMMA panel movement, sketch-panel
+//   exchange  — move data where it multiplies: the column-run exchange
+//               onto the schedule's panels, ring/SUMMA panel-wire
+//               movement (distmat/panel_wire.hpp), sketch-panel
 //               rotation, or the hybrid's mask-targeted alltoall
 //   multiply  — B += Â⁽ˡ⁾ᵀ Â⁽ˡ⁾ under the popcount semiring (spgemm.hpp,
 //               Eq. 7) and â += column popcounts (Eq. 4), or wire-level
@@ -68,7 +69,7 @@ namespace sas::core {
 enum class Stage : int {
   kIngest = 0,  ///< batch reads (values_in_range loops)
   kPackSketch,  ///< zero-row filter + bitmask packing + sketch building
-  kExchange,    ///< redistribution, panel movement, mask union
+  kExchange,    ///< column-run exchange, panel movement, mask union
   kMultiply,    ///< popcount SpGEMM / wire-level estimation
   kAssemble,    ///< finalize S = B ⊘ C, gather to root, hybrid fill
 };

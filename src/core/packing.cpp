@@ -53,11 +53,12 @@ PackedBatch pack_batch(bsp::Comm& comm, const BatchReads& reads,
 
   // (2) Compact and pack: consecutive compacted rows of one sample that
   // share a word are OR-merged as they stream by (offsets are sorted, and
-  // the compaction map is monotone, so same-word runs are contiguous).
-  // One packed triplet is emitted per (sample, word) run — up to b× fewer
-  // than the raw offsets, so amortized growth beats reserving the loose
-  // offset-count bound (which would pin up to 64× the needed capacity for
-  // the batch's lifetime).
+  // the compaction map is monotone, so same-word runs are contiguous and
+  // every sample's words come out ascending). One packed entry is emitted
+  // per (sample, word) run — up to b× fewer than the raw offsets, so
+  // amortized growth beats reserving the loose offset-count bound (which
+  // would pin up to 64× the needed capacity for the batch's lifetime).
+  distmat::ColumnRuns& runs = out.runs;
   for (std::size_t s = 0; s < reads.samples.size(); ++s) {
     const std::int64_t col = reads.samples[s];
     const std::vector<std::int64_t>& values = reads.values[s];
@@ -71,13 +72,20 @@ PackedBatch pack_batch(bsp::Comm& comm, const BatchReads& reads,
       const std::int64_t word = compacted / bit_width;
       const int bit = static_cast<int>(compacted % bit_width);
       if (word != current_word) {
-        if (current_word >= 0) out.triplets.push_back({current_word, col, mask});
+        if (current_word >= 0) {
+          runs.rows.push_back(current_word);
+          runs.masks.push_back(mask);
+        }
         current_word = word;
         mask = 0;
       }
       mask |= (1ULL << bit);
     }
-    if (current_word >= 0) out.triplets.push_back({current_word, col, mask});
+    if (current_word >= 0) {
+      runs.rows.push_back(current_word);
+      runs.masks.push_back(mask);
+    }
+    runs.close_run(col);
   }
   return out;
 }

@@ -14,8 +14,10 @@
 //
 // The split is what lets the hybrid estimator read inputs ONCE: the
 // driver hands each batch's reads to both the sketch builders and the
-// packer. The output triplets are globally indexed (word_row, sample)
-// pairs ready for redistribution onto the processor grid.
+// packer. The output is one column run per owned sample — ascending
+// global word-rows and their masks, in the order the packer produces
+// them — which the column-run exchange (distmat/panel_wire.hpp) slices
+// onto the owners' panels without re-sorting.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,7 @@
 #include "bsp/comm.hpp"
 #include "core/sample_source.hpp"
 #include "distmat/block.hpp"
-#include "distmat/triplet.hpp"
+#include "distmat/panel_wire.hpp"
 
 namespace sas::core {
 
@@ -48,9 +50,9 @@ struct PackedBatch {
   /// Rows surviving the zero-row filter (batch height m̃ when filtering is
   /// disabled). Equals the length of the filter vector's support.
   std::int64_t filtered_rows = 0;
-  /// This rank's packed entries: (word_row, sample, mask), global indices,
-  /// at most one entry per (word_row, sample) pair.
-  std::vector<distmat::Triplet<std::uint64_t>> triplets;
+  /// This rank's packed entries as column runs, one per sample with at
+  /// least one entry: global sample ids, ascending global word-rows.
+  distmat::ColumnRuns runs;
 };
 
 /// Pack stage, collective over `comm`: filter + compact + bitmask-pack

@@ -12,12 +12,13 @@
 // Two CSR forms live here:
 //   * CsrMatrix  — the general, accounting-oriented form (storage bytes,
 //     row slicing, triplet round-trips) used by the §III-B ablation.
-//   * CsrPanel   — the SpGEMM hot-path form: a panel of the bit-packed
-//     indicator matrix built ONCE per received panel, with row starts
-//     indexed over word-rows and the column indices / word masks split
-//     into two contiguous (SoA) arrays. The tiled popcount kernel in
-//     spgemm.cpp streams those flat arrays instead of re-scanning
-//     24-byte triplet runs on every multiply.
+//   * CsrPanel   — the SpGEMM hot-path form of one panel of the bit-
+//     packed indicator matrix: row starts indexed over occupied word-rows
+//     and the column indices / word masks in two contiguous (SoA) arrays
+//     that the tiled popcount kernel in spgemm.cpp streams. Panels are
+//     built by the column-run exchange and travel between ranks as the
+//     compressed panel wire (panel_wire.hpp); from_triplets/from_block
+//     remain as the reference construction tests compare against.
 #pragma once
 
 #include <cstdint>
@@ -168,6 +169,13 @@ struct CsrPanel {
     return row_end(k) - row_begin(k);
   }
 
+  /// Exclusive bound on the occupied word-rows (row_ids.back() + 1, 0
+  /// when empty) — the tight row space of a panel whose nominal height
+  /// is looser, e.g. a SUMMA stage panel.
+  [[nodiscard]] std::int64_t occupied_row_bound() const noexcept {
+    return row_ids.empty() ? 0 : row_ids.back() + 1;
+  }
+
   /// Build from canonical triplets (sorted by (row, col), unique coords,
   /// rows in [0, rows)). One pass; cost is O(nnz), independent of `rows`.
   [[nodiscard]] static CsrPanel from_triplets(std::int64_t rows, std::int64_t cols,
@@ -189,7 +197,7 @@ struct CsrPanel {
     return p;
   }
 
-  /// Build from a canonical SparseBlock (the post-redistribution form).
+  /// Build from a canonical SparseBlock.
   [[nodiscard]] static CsrPanel from_block(const SparseBlock& block) {
     return from_triplets(block.rows, block.cols,
                          std::span<const Triplet<std::uint64_t>>(block.entries));

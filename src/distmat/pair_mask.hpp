@@ -7,7 +7,7 @@
 // granularities:
 //
 //   * column level  — a sample with no surviving off-diagonal pair is
-//                     dropped before redistribution (its panel entries
+//                     dropped before packing (its panel entries
 //                     never enter the network);
 //   * panel level   — the targeted 1D exchange ships a panel column to a
 //                     peer only when the mask pairs it with one of that

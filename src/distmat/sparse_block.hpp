@@ -3,8 +3,9 @@
 // A SparseBlock holds one block of the compressed indicator matrix
 // Â⁽ˡ⁾ ∈ S^{h×n} (paper Eq. 7): entries are 64-bit masks covering b rows
 // of the original boolean matrix. Entries are kept sorted by (row, col)
-// with no duplicate coordinates — the canonical form every kernel relies
-// on. Indices are block-local; the owning structure records offsets.
+// with no duplicate coordinates. It is the coordinate-form reference that
+// tests and benches build CsrPanels from (CsrPanel::from_block); the
+// pipeline itself never materializes one. Indices are block-local.
 #pragma once
 
 #include <cstdint>

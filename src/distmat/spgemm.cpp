@@ -8,6 +8,7 @@
 
 #include "bsp/tags.hpp"
 #include "distmat/crossover.hpp"
+#include "distmat/panel_wire.hpp"
 #include "obs/trace.hpp"
 #include "util/numa.hpp"
 #include "util/popcount.hpp"
@@ -405,7 +406,7 @@ DenseBlock<std::int64_t> serial_ata(const SparseBlock& block) {
   return out;
 }
 
-void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_panel,
+void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const CsrPanel& my_panel,
                          DenseBlock<std::int64_t>& b_panel, RingSchedule schedule,
                          const CsrAtaOptions& options) {
   const int p = comm.size();
@@ -416,10 +417,10 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
     throw std::invalid_argument("ring_ata_accumulate: b_panel must span all n columns");
   }
 
-  // The L-side panel participates in every step: convert once per batch.
-  const CsrPanel lpanel = CsrPanel::from_block(my_panel);
-
-  std::vector<Triplet<std::uint64_t>> current = my_panel.entries;
+  // The own panel is the L side of every step and the N side of step 0;
+  // its wire is encoded once and then only forwarded wires travel.
+  std::vector<std::uint64_t> current;
+  if (p > 1) current = encode_panel_wire(my_panel);
   int current_owner = r;
   for (int step = 0; step < p; ++step) {
     // Plain span (no drift prediction): the hop interleaves with the
@@ -428,42 +429,39 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
     const bool last_step = step + 1 == p;
     // Double buffering: post the rotation send *before* the multiply.
     // Sends are buffered copies, so `current` stays valid for the local
-    // CSR build and the neighbour's transfer completes while we compute.
+    // decode and the neighbour's transfer completes while we compute.
     if (!last_step && schedule == RingSchedule::kOverlapped) {
-      comm.send<Triplet<std::uint64_t>>(
-          (r + 1) % p, kTagRing, std::span<const Triplet<std::uint64_t>>(current));
+      comm.send<std::uint64_t>((r + 1) % p, kTagRing, std::span<const std::uint64_t>(current));
     }
 
     const BlockRange owner_cols = block_range(n, p, current_owner);
     // With a candidate mask, a panel whose owner shares no surviving pair
-    // with this rank's output rows is forwarded without even a CSR build.
+    // with this rank's output rows is forwarded without being decoded.
     const bool panel_pruned =
         options.prune != nullptr &&
         !options.prune->any_pair(b_panel.row_range, owner_cols);
     if (!panel_pruned) {
       CsrPanel received;
-      const CsrPanel* npanel = &lpanel;
+      const CsrPanel* npanel = &my_panel;
       if (current_owner != r) {
-        received = CsrPanel::from_triplets(my_panel.rows, owner_cols.size(),
-                                           std::span<const Triplet<std::uint64_t>>(current));
+        received = decode_panel_wire(current, my_panel.rows, owner_cols.size());
         npanel = &received;
       }
-      csr_popcount_ata_accumulate(lpanel, *npanel, 0, owner_cols.begin, b_panel,
+      csr_popcount_ata_accumulate(my_panel, *npanel, 0, owner_cols.begin, b_panel,
                                   &comm.counters(), options);
     }
 
     if (last_step) break;
     if (schedule == RingSchedule::kSynchronous) {
-      comm.send<Triplet<std::uint64_t>>(
-          (r + 1) % p, kTagRing, std::span<const Triplet<std::uint64_t>>(current));
+      comm.send<std::uint64_t>((r + 1) % p, kTagRing, std::span<const std::uint64_t>(current));
     }
-    current = comm.recv<Triplet<std::uint64_t>>((r + p - 1) % p, kTagRing);
+    current = comm.recv<std::uint64_t>((r + p - 1) % p, kTagRing);
     current_owner = (current_owner + p - 1) % p;
   }
 }
 
 void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
-                             const SparseBlock& my_panel, const CandidateMask& mask,
+                             const CsrPanel& my_panel, const CandidateMask& mask,
                              DenseBlock<std::int64_t>& b_panel,
                              const CsrAtaOptions& options) {
   const int p = comm.size();
@@ -474,10 +472,9 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
         "targeted_ata_accumulate: b_panel must span all n columns");
   }
   const BlockRange my_cols = b_panel.row_range;
-  const CsrPanel lpanel = CsrPanel::from_block(my_panel);
 
   // Diagonal block: local data, mask diagonal is always set.
-  csr_popcount_ata_accumulate(lpanel, lpanel, 0, my_cols.begin, b_panel,
+  csr_popcount_ata_accumulate(my_panel, my_panel, 0, my_cols.begin, b_panel,
                               &comm.counters(), options);
 
   // Column-targeted exchange: peer q needs this rank's column j (global
@@ -485,7 +482,7 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
   // rows. Each needed column is shipped to each needing peer exactly
   // once, so total bytes track the surviving pair structure instead of
   // the ring's everything-to-everyone Θ(z·(p−1)).
-  std::vector<std::vector<Triplet<std::uint64_t>>> outgoing(static_cast<std::size_t>(p));
+  std::vector<std::vector<std::uint64_t>> outgoing(static_cast<std::size_t>(p));
   std::vector<std::uint8_t> needed(static_cast<std::size_t>(my_panel.cols));
   for (int q = 0; q < p; ++q) {
     if (q == r) continue;
@@ -498,33 +495,29 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
       any = any || needed[static_cast<std::size_t>(j)] != 0;
     }
     if (!any) continue;
-    auto& block = outgoing[static_cast<std::size_t>(q)];
-    for (const Triplet<std::uint64_t>& t : my_panel.entries) {
-      if (needed[static_cast<std::size_t>(t.col)] != 0) block.push_back(t);
-    }
+    outgoing[static_cast<std::size_t>(q)] = encode_panel_wire(my_panel, needed);
   }
   const auto incoming = comm.alltoall_v(outgoing);
 
   for (int q = 0; q < p; ++q) {
     if (q == r || incoming[static_cast<std::size_t>(q)].empty()) continue;
     const BlockRange q_cols = block_range(n, p, q);
-    // Filtering preserved the sender's (row, col) order, so the received
-    // subset is already canonical for the CSR build.
-    const CsrPanel npanel = CsrPanel::from_triplets(
-        my_panel.rows, q_cols.size(),
-        std::span<const Triplet<std::uint64_t>>(incoming[static_cast<std::size_t>(q)]));
-    csr_popcount_ata_accumulate(lpanel, npanel, 0, q_cols.begin, b_panel,
+    const CsrPanel npanel =
+        decode_panel_wire(incoming[static_cast<std::size_t>(q)], my_panel.rows, q_cols.size());
+    csr_popcount_ata_accumulate(my_panel, npanel, 0, q_cols.begin, b_panel,
                                 &comm.counters(), options);
   }
 }
 
-void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
+void summa_ata_accumulate(ProcGrid& grid, std::int64_t word_rows, CsrPanel my_block,
                           DenseBlock<std::int64_t>& b_accum,
                           const CsrAtaOptions& options) {
   if (!grid.active()) {
     throw std::logic_error("summa_ata_accumulate: called by an inactive rank");
   }
   const int s = grid.side();
+  // Stage panels are compared on their tight row bounds (see the header).
+  my_block.rows = my_block.occupied_row_bound();
 
   // With replication (c > 1), each layer sums into a scratch partial that
   // is reduced onto layer 0 at the end of the batch (paper §III-C: "one
@@ -537,8 +530,8 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
   // Mask-aware stage gating: with a candidate mask, a sample block whose
   // members all have NO surviving off-diagonal partner contributes
   // nothing anywhere — its samples were column-dropped by the driver
-  // (their triplets never reached the grid) and their diagonals fall
-  // back to the J(∅, ∅) = 1 convention. The per-sample activity flags
+  // (they were never packed) and their diagonals fall back to the
+  // J(∅, ∅) = 1 convention. The per-sample activity flags
   // are replicated (the mask is), so every rank reaches the same verdict
   // and the collectives stay aligned: the L-side transpose + row
   // broadcast of an inactive OUTPUT-ROW block and the N-side column
@@ -559,22 +552,36 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
   const bool my_rows_active = block_active(b_accum.row_range);
   const bool my_cols_active = block_active(b_accum.col_range);
 
+  // The own block's wire feeds this rank's transpose hop and its column
+  // broadcast, both gated on my_cols_active.
+  std::vector<std::uint64_t> my_wire;
+  if (my_cols_active) my_wire = encode_panel_wire(my_block);
+  // A received stage panel: decoded once against its chunk height, then
+  // narrowed to its tight row bound like the own block.
+  const auto decode_stage = [&](std::span<const std::uint64_t> wire, int k,
+                                std::int64_t cols) {
+    const BlockRange chunk = block_range(word_rows, s * grid.layers(), grid.layer() * s + k);
+    CsrPanel panel = decode_panel_wire(wire, chunk.size(), cols);
+    panel.rows = panel.occupied_row_bound();
+    return panel;
+  };
+
   // (1) Transpose exchange: owner (ℓ, k, i) ships R(ℓ·s+k, i) to (ℓ, i, k).
   // Sends are posted one stage AHEAD of the multiply that consumes them
   // (stage 0 before the loop, stage k+1 before stage k's local work):
   // bsp sends are buffered copies and the per-stage tags keep them
   // ordered, so the stage-k+1 transpose hop completes while stage k
   // multiplies — the same overlap the ring schedule gets from double
-  // buffering.
+  // buffering. Diagonal ranks send to themselves; the hop is kept so
+  // every rank performs the same sequence of operations.
   const auto post_transpose = [&](int k) {
     // my_cols_active gates on the RECEIVER's output-row block: the
     // receiver (ℓ, grid_col, k) has grid_row == this rank's grid_col,
     // and row chunks equal column chunks on the square grid.
     if (grid.grid_row() == k && my_cols_active) {
       const int dest = grid.world_rank_of(grid.layer(), grid.grid_col(), k);
-      grid.world().send<Triplet<std::uint64_t>>(
-          dest, bsp::tags::summa_transpose(k),
-          std::span<const Triplet<std::uint64_t>>(my_block.entries));
+      grid.world().send<std::uint64_t>(dest, bsp::tags::summa_transpose(k),
+                                       std::span<const std::uint64_t>(my_wire));
     }
   };
   post_transpose(0);
@@ -584,11 +591,12 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
     // their own drift samples, so this span stays prediction-free.
     const obs::Span stage("summa/stage", "summa", &grid.world().counters());
     if (k + 1 < s) post_transpose(k + 1);
-    std::vector<Triplet<std::uint64_t>> lbuf;
+    std::vector<std::uint64_t> lbuf;
+    bool l_own = false;
     if (grid.grid_col() == k && my_rows_active) {
       const int source = grid.world_rank_of(grid.layer(), k, grid.grid_row());
-      lbuf = grid.world().recv<Triplet<std::uint64_t>>(source,
-                                                       bsp::tags::summa_transpose(k));
+      lbuf = grid.world().recv<std::uint64_t>(source, bsp::tags::summa_transpose(k));
+      l_own = source == grid.world().rank();
     }
     // (2) L-side broadcast along the grid row (root = grid column k).
     // All ranks of one grid row share the same output-row block, so the
@@ -596,23 +604,18 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
     if (my_rows_active) grid.row_comm().broadcast(lbuf, k);
     // (3) N-side broadcast along the grid column (root = grid row k);
     // uniform verdict along the column, which shares the output-col block.
-    std::vector<Triplet<std::uint64_t>> nbuf;
-    if (my_cols_active) {
-      if (grid.grid_row() == k) nbuf = my_block.entries;
-      grid.col_comm().broadcast(nbuf, k);
-    }
+    const bool n_own = grid.grid_row() == k;
+    std::vector<std::uint64_t> nbuf;
+    if (my_cols_active) grid.col_comm().broadcast(n_own ? my_wire : nbuf, k);
     if (!my_rows_active || !my_cols_active) continue;
-    // (4) Local multiply-accumulate on CSR panels built once per stage.
-    // Both buffers are slices of chunk ℓ·s+k, so they share a row space;
-    // the tight per-panel row bounds are enough (the kernel intersects).
-    const std::span<const Triplet<std::uint64_t>> lspan(lbuf);
-    const std::span<const Triplet<std::uint64_t>> nspan(nbuf);
-    const CsrPanel lpanel =
-        CsrPanel::from_triplets(sorted_row_bound(lspan), target.row_range.size(), lspan);
-    const CsrPanel npanel =
-        CsrPanel::from_triplets(sorted_row_bound(nspan), target.col_range.size(), nspan);
-    csr_popcount_ata_accumulate(lpanel, npanel, 0, 0, target, &grid.world().counters(),
-                                options);
+    // (4) Local multiply-accumulate. Both panels are slices of chunk
+    // ℓ·s+k, so they share a row space; the kernel intersects them.
+    CsrPanel lpanel;
+    CsrPanel npanel;
+    if (!l_own) lpanel = decode_stage(lbuf, k, target.row_range.size());
+    if (!n_own) npanel = decode_stage(nbuf, k, target.col_range.size());
+    csr_popcount_ata_accumulate(l_own ? my_block : lpanel, n_own ? my_block : npanel, 0, 0,
+                                target, &grid.world().counters(), options);
   }
 
   if (replicated) {
@@ -625,10 +628,10 @@ void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
   }
 }
 
-void accumulate_column_popcounts(const SparseBlock& block, std::int64_t col_offset,
+void accumulate_column_popcounts(const CsrPanel& panel, std::int64_t col_offset,
                                  std::span<std::int64_t> acc) {
-  for (const Triplet<std::uint64_t>& entry : block.entries) {
-    acc[static_cast<std::size_t>(col_offset + entry.col)] += popcount64(entry.value);
+  for (std::size_t e = 0; e < panel.values.size(); ++e) {
+    acc[static_cast<std::size_t>(col_offset + panel.col_idx[e])] += popcount64(panel.values[e]);
   }
 }
 

@@ -15,10 +15,11 @@
 // == Kernel architecture (CSR tiles + overlapped rotation) ===============
 //
 // The local multiply is a Gustavson-style CSR×CSR row intersection over
-// word-rows: each operand panel is converted ONCE into a CsrPanel
-// (row starts over word-rows, column indices and 64-bit masks in two
-// contiguous SoA arrays), then for every word-row k present in both
-// panels the rank-1 update
+// word-rows: every operand is a CsrPanel (row starts over word-rows,
+// column indices and 64-bit masks in two contiguous SoA arrays) — the
+// rank's own panel as the column-run exchange built it, each received
+// panel decoded once from its panel wire (panel_wire.hpp) — then for
+// every word-row k present in both panels the rank-1 update
 //
 //     B[Lcol(a), Ncol(b)] += popcount(Lval(a) ∧ Nval(b))
 //
@@ -71,10 +72,12 @@
 // one node and skip all placement — behavior is bit-identical either way.
 //
 // The ring schedule is double-buffered: the send of the currently held
-// panel is posted *before* the local multiply (bsp sends are buffered
-// copies, so the payload is immutable once posted), which lets the
-// neighbour's receive — and hence the whole rotation hop — complete
-// while this rank computes. The synchronous schedule is retained for the
+// panel wire is posted *before* the local multiply (bsp sends are
+// buffered copies, so the payload is immutable once posted), which lets
+// the neighbour's receive — and hence the whole rotation hop — complete
+// while this rank computes. Each rank encodes its own panel once and
+// forwards every received wire unchanged; it decodes a wire only to
+// multiply it. The synchronous schedule is retained for the
 // ablation bench. SUMMA overlaps its stages the same way: the stage-k+1
 // transpose send is posted before the stage-k broadcasts and multiply,
 // so the next stage's longest point-to-point hop hides under the current
@@ -164,10 +167,10 @@ enum class RingSchedule {
 
 /// 1D ring variant. Rank r owns the column panel for block_range(n, p, r)
 /// (global word-row ids) and the dense output row-panel
-/// rows = its column chunk × cols = [0, n). Panels circulate p−1 times.
-/// The local CsrPanel is built once up front; each received panel is
-/// converted once on arrival.
-void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_panel,
+/// rows = its column chunk × cols = [0, n). Panel wires circulate p−1
+/// times; each received wire is decoded once (row bound my_panel.rows)
+/// and forwarded as received.
+void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const CsrPanel& my_panel,
                          DenseBlock<std::int64_t>& b_panel,
                          RingSchedule schedule = RingSchedule::kOverlapped,
                          const CsrAtaOptions& options = {});
@@ -182,19 +185,22 @@ void ring_ata_accumulate(bsp::Comm& comm, std::int64_t n, const SparseBlock& my_
 /// pair-sparse corpora the sketch-prune pass targets. The diagonal block
 /// is computed locally from the rank's own panel.
 void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
-                             const SparseBlock& my_panel, const CandidateMask& mask,
+                             const CsrPanel& my_panel, const CandidateMask& mask,
                              DenseBlock<std::int64_t>& b_panel,
                              const CsrAtaOptions& options = {});
 
 /// 2D/2.5D SUMMA variant over `grid`. Rank (ℓ, i, j) holds the R block of
-/// word-row chunk q = ℓ·s + i (chunk-local row ids) × column chunk j.
-/// Per batch, each layer computes its partial sum in s stages
-/// (transpose + row broadcast + column broadcast per stage) and the layer
-/// partials are reduced onto layer 0, accumulating into `b_accum`
-/// (meaningful on layer-0 ranks). Collective over active grid ranks;
-/// inactive ranks must not call. `b_accum` must cover column chunk
-/// grid_row × column chunk grid_col of the n×n output. Broadcast panels
-/// are CSR-converted once per stage before the local multiply.
+/// word-row chunk q = ℓ·s + i of block_range(word_rows, s·c, ·)
+/// (chunk-local row ids) × column chunk j. Per batch, each layer computes
+/// its partial sum in s stages (transpose + row broadcast + column
+/// broadcast per stage) and the layer partials are reduced onto layer 0,
+/// accumulating into `b_accum` (meaningful on layer-0 ranks). Collective
+/// over active grid ranks; inactive ranks must not call. `b_accum` must
+/// cover column chunk grid_row × column chunk grid_col of the n×n output.
+/// Every hop moves a panel wire: a rank multiplies its own block as is
+/// and decodes each received wire once. All stage panels, the own block
+/// included, carry their tight row bound (CsrPanel::occupied_row_bound),
+/// which is what the dense-path crossover compares.
 ///
 /// With a candidate mask (options.prune), the stage collectives are
 /// mask-gated: transpose hops and row/column broadcasts that feed an
@@ -202,17 +208,17 @@ void targeted_ata_accumulate(bsp::Comm& comm, std::int64_t n,
 /// are skipped outright, so stage traffic tracks the block structure of
 /// the mask instead of visiting every grid row/col. This assumes the
 /// hybrid driver's column-dropping invariant — samples with no surviving
-/// pair carry no triplets (their b entries are zero and their diagonal
+/// pair carry no entries (their b entries are zero and their diagonal
 /// reports the J(∅, ∅) = 1 convention) — which the driver establishes
-/// before redistribution.
-void summa_ata_accumulate(ProcGrid& grid, const SparseBlock& my_block,
+/// before packing.
+void summa_ata_accumulate(ProcGrid& grid, std::int64_t word_rows, CsrPanel my_block,
                           DenseBlock<std::int64_t>& b_accum,
                           const CsrAtaOptions& options = {});
 
-/// â contribution: acc[col_offset + e.col] += popcount(e.value) for every
-/// entry of `block`. `acc` is a full-length replicated accumulator; ranks
-/// sum disjoint row chunks so a final allreduce(+) yields exact â.
-void accumulate_column_popcounts(const SparseBlock& block, std::int64_t col_offset,
+/// â contribution: acc[col_offset + c] += popcount(mask) for every entry
+/// (c, mask) of `panel`. `acc` is a full-length replicated accumulator;
+/// ranks sum disjoint cells so a final allreduce(+) yields exact â.
+void accumulate_column_popcounts(const CsrPanel& panel, std::int64_t col_offset,
                                  std::span<std::int64_t> acc);
 
 }  // namespace sas::distmat

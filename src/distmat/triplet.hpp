@@ -1,14 +1,16 @@
 // triplet.hpp — coordinate-format sparse entries and normalization.
 //
-// Sparse data travels between ranks as flat arrays of trivially copyable
-// Triplets (the bsp layer memcpys payloads); normalize_triplets sorts and
-// merges duplicates under a caller-supplied combine operation, which is
-// how the Cyclops-style accumulating write() is realized (paper §IV-A).
+// Triplets are the coordinate form of small or reference data: the
+// hybrid's survivor cells gathered to rank 0 (gather.hpp), SparseBlock
+// and the CSR reference builds that tests and benches compare against.
+// The bit-packed matrix itself never travels as triplets — it moves as
+// column runs and compressed panels (panel_wire.hpp). normalize_triplets
+// sorts and merges duplicates under a caller-supplied combine operation
+// (the accumulating write() of paper §IV-A, for coordinate data).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -30,14 +32,6 @@ static_assert(std::is_trivially_copyable_v<Triplet<std::uint64_t>>);
 template <typename T>
 [[nodiscard]] inline bool triplet_order(const Triplet<T>& a, const Triplet<T>& b) noexcept {
   return a.row != b.row ? a.row < b.row : a.col < b.col;
-}
-
-/// Exclusive upper bound on the row ids of a (row, col)-sorted span —
-/// the tight word-row count for building a CsrPanel from a panel whose
-/// nominal height is not carried alongside (e.g. SUMMA broadcast buffers).
-template <typename T>
-[[nodiscard]] inline std::int64_t sorted_row_bound(std::span<const Triplet<T>> entries) noexcept {
-  return entries.empty() ? 0 : entries.back().row + 1;
 }
 
 /// Sort by (row, col) and merge duplicate coordinates with `combine`.

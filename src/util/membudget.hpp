@@ -1,6 +1,6 @@
 // membudget.hpp — per-rank memory-budget guardrail (--mem-budget-mb).
 //
-// The driver's large allocations (panels, packed triplet batches,
+// The driver's large allocations (panels, packed column runs,
 // point-to-point payload staging) are charged against a thread-local
 // budget installed for the duration of each rank's pipeline body. When a
 // charge would push the rank past its budget the allocation site throws a
@@ -99,7 +99,7 @@ class ScopedBudget {
 };
 
 /// RAII charge for an allocation with block scope (e.g. one batch's
-/// packed triplets): charged on construction, released on destruction.
+/// packed column runs): charged on construction, released on destruction.
 /// Throwing constructor — place it BEFORE the allocation it covers.
 class ScopedCharge {
  public:

@@ -26,16 +26,25 @@ namespace {
 
 // ---------------------------------------------------------------- packing
 
-/// Unpack a rank's packed triplets back into (compact_row, col) bit
-/// positions for cross-checking.
-std::set<std::pair<std::int64_t, std::int64_t>> unpack(
-    const std::vector<distmat::Triplet<std::uint64_t>>& triplets, int bit_width) {
+/// Unpack a rank's packed column runs back into (compact_row, col) bit
+/// positions for cross-checking; also checks each run's word-rows ascend.
+std::set<std::pair<std::int64_t, std::int64_t>> unpack(const distmat::ColumnRuns& runs,
+                                                       int bit_width) {
   std::set<std::pair<std::int64_t, std::int64_t>> bits;
-  for (const auto& t : triplets) {
-    for (int b = 0; b < 64; ++b) {
-      if ((t.value >> b) & 1ULL) {
-        EXPECT_LT(b, bit_width);  // no bit outside the configured width
-        bits.insert({t.row * bit_width + b, t.col});
+  EXPECT_EQ(runs.ptr.size(), runs.cols.size() + 1);
+  EXPECT_EQ(runs.rows.size(), runs.masks.size());
+  for (std::size_t r = 0; r < runs.runs(); ++r) {
+    for (auto e = static_cast<std::size_t>(runs.ptr[r]);
+         e < static_cast<std::size_t>(runs.ptr[r + 1]); ++e) {
+      if (e > static_cast<std::size_t>(runs.ptr[r])) {
+        EXPECT_LT(runs.rows[e - 1], runs.rows[e]);
+      }
+      EXPECT_NE(runs.masks[e], 0u);
+      for (int b = 0; b < 64; ++b) {
+        if ((runs.masks[e] >> b) & 1ULL) {
+          EXPECT_LT(b, bit_width);  // no bit outside the configured width
+          bits.insert({runs.rows[e] * bit_width + b, runs.cols[r]});
+        }
       }
     }
   }
@@ -74,7 +83,7 @@ void expect_pack_round_trip(const VectorSampleSource& src, distmat::BlockRange r
   std::int64_t filtered_rows = -1;
   bsp::Runtime::run(nranks, [&](bsp::Comm& comm) {
     PackedBatch packed = pack_batch(comm, src, rows, bit_width, use_filter);
-    const auto bits = unpack(packed.triplets, bit_width);
+    const auto bits = unpack(packed.runs, bit_width);
     std::lock_guard<std::mutex> lock(mutex);
     got.insert(bits.begin(), bits.end());
     word_rows = packed.word_rows;
@@ -267,6 +276,54 @@ TEST(DriverInvariance, ResultIndependentOfAllKnobs) {
     EXPECT_EQ(got.similarity.max_abs_diff(reference.similarity), 0.0)
         << "ranks=" << k.ranks << " batches=" << k.batches << " bits=" << k.bits
         << " c=" << k.c;
+  }
+}
+
+/// Unfiltered k = 21 universe (4²¹ rows): word-row chunks exceed 2³²
+/// rows, so the panel wires carry row ids wider than 32 bits. Every
+/// schedule must still match the serial reference bit for bit.
+TEST(DriverInvariance, HypersparseUnfilteredRowIdsParity) {
+  const std::int64_t universe = std::int64_t{1} << 42;
+  Rng rng(4242);
+  std::vector<std::vector<std::int64_t>> samples(11);
+  for (auto& s : samples) {
+    // 256 anchors 2³⁴ rows apart, so pairs share rows; small offsets put
+    // several bits in one mask word.
+    for (int i = 0; i < 60; ++i) {
+      s.push_back((static_cast<std::int64_t>(rng.uniform(256)) << 34) +
+                  static_cast<std::int64_t>(rng.uniform(128)));
+    }
+  }
+  VectorSampleSource src(universe, std::move(samples));
+
+  Config base;
+  base.algorithm = Algorithm::kSerial;
+  base.use_zero_row_filter = false;
+  const Result reference = similarity_at_scale_threaded(1, src, base);
+  bool overlap = false;
+  for (std::int64_t i = 0; i < reference.n; ++i) {
+    for (std::int64_t j = i + 1; j < reference.n; ++j) {
+      overlap = overlap || reference.similarity.similarity(i, j) > 0.0;
+    }
+  }
+  ASSERT_TRUE(overlap) << "the parity check needs intersecting samples";
+
+  struct Knobs {
+    Algorithm alg;
+    int ranks;
+    int c;
+  };
+  for (const Knobs& k : {Knobs{Algorithm::kSumma, 4, 1}, Knobs{Algorithm::kSumma, 8, 2},
+                         Knobs{Algorithm::kRing1D, 3, 1}}) {
+    Config cfg;
+    cfg.algorithm = k.alg;
+    cfg.replication = k.c;
+    cfg.use_zero_row_filter = false;
+    // One batch: the word-row chunks are 2³⁶ / (s·c) ≥ 2³⁴ rows tall.
+    ASSERT_EQ(cfg.batch_count, 1);
+    const Result got = similarity_at_scale_threaded(k.ranks, src, cfg);
+    EXPECT_EQ(got.similarity.max_abs_diff(reference.similarity), 0.0)
+        << "ranks=" << k.ranks << " c=" << k.c;
   }
 }
 

@@ -1,9 +1,10 @@
 // test_corruption.cpp — the corruption matrix (ISSUE 6 satellite): every
 // byte-level truncation and single-byte flip of each persisted artifact
-// must either parse to a benign value or throw the TYPED
-// sas::error::CorruptInput (sketch estimate layers may also reject with
-// std::invalid_argument) — never crash, never allocate absurd memory,
-// never silently index out of bounds. Run under ASan/UBSan/TSan in CI.
+// and inter-rank panel message must either parse to a benign value or
+// throw the TYPED sas::error::CorruptInput (sketch estimate layers may
+// also reject with std::invalid_argument) — never crash, never allocate
+// absurd memory, never silently index out of bounds. Run under
+// ASan/UBSan/TSan in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,12 +21,15 @@
 
 #include "core/matrix_io.hpp"
 #include "core/similarity_matrix.hpp"
+#include "distmat/csr.hpp"
 #include "distmat/dist_filter.hpp"
+#include "distmat/panel_wire.hpp"
 #include "genome/kmer_source.hpp"
 #include "genome/sample.hpp"
 #include "sketch/one_perm_minhash.hpp"
 #include "sketch/sketch.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace sas {
 namespace {
@@ -345,6 +349,138 @@ TEST(CorruptionMatrix, IndexSetDamageIsBenignOrTyped) {
                                     std::to_string(byte));
       }
     }
+  }
+}
+
+
+// ---------------------------------------- panel wires and column runs
+
+/// A decode that succeeded must describe a structurally valid panel
+/// inside the caller's extents — everything the SpGEMM kernel indexes by.
+void expect_valid_panel(const distmat::CsrPanel& panel, std::int64_t rows,
+                        std::int64_t cols, const std::string& label) {
+  ASSERT_EQ(panel.rows, rows) << label;
+  ASSERT_EQ(panel.cols, cols) << label;
+  ASSERT_EQ(panel.row_ptr.size(), panel.row_ids.size() + 1) << label;
+  ASSERT_EQ(panel.row_ptr.front(), 0) << label;
+  ASSERT_EQ(panel.row_ptr.back(), panel.nnz()) << label;
+  ASSERT_EQ(panel.col_idx.size(), panel.values.size()) << label;
+  for (std::int64_t k = 0; k < panel.occupied(); ++k) {
+    ASSERT_GE(panel.row_id(k), k == 0 ? 0 : panel.row_id(k - 1) + 1) << label;
+    ASSERT_LT(panel.row_id(k), rows) << label;
+    ASSERT_LT(panel.row_begin(k), panel.row_end(k)) << label;
+    for (std::int64_t e = panel.row_begin(k); e < panel.row_end(k); ++e) {
+      const std::int64_t col = panel.col_idx[static_cast<std::size_t>(e)];
+      ASSERT_GE(col, e == panel.row_begin(k) ? 0 : panel.col_idx[static_cast<std::size_t>(e - 1)] + 1)
+          << label;
+      ASSERT_LT(col, cols) << label;
+    }
+  }
+}
+
+/// Every truncation and single-byte flip of `words` must decode to a
+/// valid panel or throw CorruptInput.
+void sweep_panel_damage(
+    const std::vector<std::uint64_t>& words, std::int64_t rows, std::int64_t cols,
+    const std::function<distmat::CsrPanel(const std::vector<std::uint64_t>&)>& decode,
+    const std::string& shape) {
+  const auto check = [&](const std::vector<std::uint64_t>& damaged, const std::string& label) {
+    try {
+      expect_valid_panel(decode(damaged), rows, cols, label);
+    } catch (const error::CorruptInput&) {
+      // typed rejection: fine
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << label << " escaped the taxonomy: " << e.what();
+    }
+  };
+  for (std::size_t len = 0; len < words.size(); ++len) {
+    check(std::vector<std::uint64_t>(words.begin(), words.begin() + static_cast<long>(len)),
+          shape + " truncated to " + std::to_string(len) + " words");
+  }
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (int byte = 0; byte < 8; ++byte) {
+      std::vector<std::uint64_t> flipped = words;
+      flipped[w] ^= std::uint64_t{0xff} << (byte * 8);
+      check(flipped, shape + " flip word " + std::to_string(w) + " byte " +
+                         std::to_string(byte));
+    }
+  }
+}
+
+/// Three panels: dense (RLE row set), hypersparse rows past 2³² (delta
+/// row set), and a single entry.
+struct PanelShape {
+  std::string name;
+  std::int64_t rows;
+  std::int64_t cols;
+  std::vector<distmat::Triplet<std::uint64_t>> entries;  // (row, col) sorted
+};
+
+std::vector<PanelShape> panel_shapes() {
+  std::vector<PanelShape> shapes;
+  PanelShape dense{"dense", 64, 6, {}};
+  Rng rng(606);
+  for (std::int64_t r = 0; r < dense.rows; ++r) {
+    for (std::int64_t c = 0; c < dense.cols; ++c) {
+      if (rng.bernoulli(0.6)) dense.entries.push_back({r, c, rng()});
+    }
+  }
+  shapes.push_back(dense);
+  PanelShape sparse{"hypersparse", std::int64_t{1} << 40, 3, {}};
+  for (std::int64_t i = 0; i < 24; ++i) {
+    sparse.entries.push_back({i * 45812984497 + 11, i % 3, rng()});
+  }
+  shapes.push_back(sparse);
+  shapes.push_back(PanelShape{"single", 5, 2, {{4, 1, 0x80}}});
+  return shapes;
+}
+
+TEST(CorruptionMatrix, PanelWireDamageIsValidOrTyped) {
+  for (const PanelShape& shape : panel_shapes()) {
+    const distmat::CsrPanel panel =
+        distmat::CsrPanel::from_triplets(shape.rows, shape.cols, shape.entries);
+    const std::vector<std::uint64_t> wire = distmat::encode_panel_wire(panel);
+    ASSERT_FALSE(wire.empty()) << shape.name;
+    sweep_panel_damage(
+        wire, shape.rows, shape.cols,
+        [&](const std::vector<std::uint64_t>& words) {
+          return distmat::decode_panel_wire(words, shape.rows, shape.cols);
+        },
+        "panel wire " + shape.name);
+  }
+  // The empty panel is the empty wire, and decodes to an empty panel.
+  const distmat::CsrPanel empty = distmat::CsrPanel::from_triplets(7, 3, {});
+  EXPECT_TRUE(distmat::encode_panel_wire(empty).empty());
+  expect_valid_panel(distmat::decode_panel_wire({}, 7, 3), 7, 3, "empty wire");
+}
+
+TEST(CorruptionMatrix, ColumnRunMessageDamageIsValidOrTyped) {
+  for (const PanelShape& shape : panel_shapes()) {
+    distmat::ColumnRuns runs;
+    for (std::int64_t c = 0; c < shape.cols; ++c) {
+      for (const auto& t : shape.entries) {
+        if (t.col != c) continue;
+        runs.rows.push_back(t.row);
+        runs.masks.push_back(t.value);
+      }
+      runs.close_run(c);
+    }
+    const auto messages = distmat::encode_column_runs(
+        runs, distmat::serial_owner_map(shape.rows, shape.cols), 1);
+    ASSERT_EQ(messages.size(), 1u);
+    sweep_panel_damage(
+        messages[0], shape.rows, shape.cols,
+        [&](const std::vector<std::uint64_t>& words) {
+          const std::vector<std::vector<std::uint64_t>> one{words};
+          return distmat::decode_column_runs(one, shape.rows, shape.cols);
+        },
+        "column runs " + shape.name);
+    // A column arriving twice (from one message or two) is corruption,
+    // not a second contribution.
+    const std::vector<std::vector<std::uint64_t>> twice{messages[0], messages[0]};
+    EXPECT_THROW((void)distmat::decode_column_runs(twice, shape.rows, shape.cols),
+                 error::CorruptInput)
+        << shape.name;
   }
 }
 

@@ -1,10 +1,12 @@
 // test_distmat.cpp — the mini-Cyclops layer: block partitioning, triplet
-// normalization, the distributed filter, processor grids, redistribution,
-// and all SpGEMM variants against a brute-force dense reference.
+// normalization, the distributed filter, processor grids, the column-run
+// exchange and panel wire, and all SpGEMM variants against a brute-force
+// dense reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <vector>
@@ -14,8 +16,8 @@
 #include "distmat/csr.hpp"
 #include "distmat/dist_filter.hpp"
 #include "distmat/gather.hpp"
+#include "distmat/panel_wire.hpp"
 #include "distmat/proc_grid.hpp"
-#include "distmat/redistribute.hpp"
 #include "distmat/spgemm.hpp"
 #include "util/error.hpp"
 #include "util/popcount.hpp"
@@ -455,38 +457,159 @@ TEST(ProcGrid, RejectsTooFewRanksForLayers) {
   });
 }
 
-// --------------------------------------------------------- redistribution
+// --------------------------------------------------------- panel exchange
 
-class RedistributeTest : public ::testing::TestWithParam<int> {};
+enum class OwnerMapKind { kSerial, kRing, kSumma };
 
-TEST_P(RedistributeTest, EveryEntryArrivesOnceAndMerges) {
-  const int p = GetParam();
-  const std::int64_t rows = 40;
-  const std::int64_t cols = 30;
-  bsp::Runtime::run(p, [&](bsp::Comm& comm) {
-    // Every rank emits the full grid with value 1<<rank; owner = row block.
-    std::vector<Triplet<std::uint64_t>> mine;
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t c = 0; c < cols; ++c) {
-        mine.push_back({r, c, std::uint64_t{1} << comm.rank()});
+struct ExchangeCase {
+  int ranks;
+  OwnerMapKind map;
+  int layers;  // SUMMA replication c
+};
+
+void PrintTo(const ExchangeCase& c, std::ostream* os) {
+  *os << "p=" << c.ranks << " map="
+      << (c.map == OwnerMapKind::kSerial ? "serial"
+                                         : c.map == OwnerMapKind::kRing ? "ring" : "summa")
+      << " c=" << c.layers;
+}
+
+class PanelExchange : public ::testing::TestWithParam<ExchangeCase> {};
+
+TEST_P(PanelExchange, ReceivedPanelMatchesReferenceBuild) {
+  const ExchangeCase ec = GetParam();
+  const std::int64_t h = 53;
+  const std::int64_t n = 23;
+  Rng rng(8080);
+  std::vector<Triplet<std::uint64_t>> all;
+  for (std::int64_t r = 0; r < h; ++r) {
+    for (std::int64_t c = 0; c < n; ++c) {
+      if (rng.bernoulli(0.4)) all.push_back({r, c, rng() | 1});
+    }
+  }
+  bsp::Runtime::run(ec.ranks, [&](bsp::Comm& comm) {
+    const int p = comm.size();
+    std::optional<ProcGrid> grid;
+    PanelOwnerMap owners;
+    switch (ec.map) {
+      case OwnerMapKind::kSerial:
+        owners = serial_owner_map(h, n);
+        break;
+      case OwnerMapKind::kRing:
+        owners = ring_owner_map(h, n, p);
+        break;
+      case OwnerMapKind::kSumma:
+        grid.emplace(comm, ec.layers);
+        owners = summa_owner_map(h, n, *grid);
+        break;
+    }
+    // Samples are owned cyclically, as pack_batch emits them.
+    ColumnRuns runs;
+    for (std::int64_t c = comm.rank(); c < n; c += p) {
+      for (const auto& t : all) {
+        if (t.col != c) continue;
+        runs.rows.push_back(t.row);
+        runs.masks.push_back(t.value);
+      }
+      runs.close_run(c);
+    }
+    const CsrPanel got = exchange_column_runs(comm, runs, owners);
+
+    std::int64_t cell = -1;
+    for (std::size_t k = 0; k < owners.owner.size(); ++k) {
+      if (owners.owner[k] == comm.rank()) cell = static_cast<std::int64_t>(k);
+    }
+    if (cell < 0) {
+      EXPECT_EQ(got.rows, 0);
+      EXPECT_EQ(got.cols, 0);
+      EXPECT_TRUE(got.empty());
+      return;
+    }
+    const BlockRange chunk = block_range(
+        h, owners.row_chunks, static_cast<int>(cell / owners.col_chunks));
+    const BlockRange cols = block_range(
+        n, owners.col_chunks, static_cast<int>(cell % owners.col_chunks));
+    std::vector<Triplet<std::uint64_t>> local;
+    for (const auto& t : all) {
+      if (chunk.contains(t.row) && cols.contains(t.col)) {
+        local.push_back({t.row - chunk.begin, t.col - cols.begin, t.value});
       }
     }
-    auto merged = redistribute_triplets(
-        comm, std::move(mine),
-        [&](std::int64_t row, std::int64_t) { return block_owner(rows, p, row); },
-        [](std::uint64_t a, std::uint64_t b) { return a | b; });
-    const BlockRange my_rows = block_range(rows, p, comm.rank());
-    ASSERT_EQ(static_cast<std::int64_t>(merged.size()), my_rows.size() * cols);
-    const std::uint64_t all_ranks_mask = (p == 64) ? ~0ULL : ((1ULL << p) - 1);
-    for (const auto& t : merged) {
-      EXPECT_TRUE(my_rows.contains(t.row));
-      EXPECT_EQ(t.value, all_ranks_mask);  // contributions from every rank merged
-    }
-    EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end(), triplet_order<std::uint64_t>));
+    const CsrPanel expected = CsrPanel::from_block(
+        SparseBlock::from_triplets(chunk.size(), cols.size(), std::move(local)));
+    EXPECT_EQ(got.rows, expected.rows);
+    EXPECT_EQ(got.cols, expected.cols);
+    EXPECT_EQ(got.row_ids, expected.row_ids);
+    EXPECT_EQ(got.row_ptr, expected.row_ptr);
+    EXPECT_EQ(got.col_idx, expected.col_idx);
+    EXPECT_EQ(got.values, expected.values);
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(RankCounts, RedistributeTest, ::testing::Values(1, 2, 4, 7));
+INSTANTIATE_TEST_SUITE_P(
+    OwnerMaps, PanelExchange,
+    ::testing::Values(ExchangeCase{1, OwnerMapKind::kSerial, 1},
+                      ExchangeCase{2, OwnerMapKind::kSerial, 1},
+                      ExchangeCase{4, OwnerMapKind::kSerial, 1},
+                      ExchangeCase{7, OwnerMapKind::kSerial, 1},
+                      ExchangeCase{1, OwnerMapKind::kRing, 1},
+                      ExchangeCase{2, OwnerMapKind::kRing, 1},
+                      ExchangeCase{4, OwnerMapKind::kRing, 1},
+                      ExchangeCase{7, OwnerMapKind::kRing, 1},
+                      ExchangeCase{1, OwnerMapKind::kSumma, 1},
+                      ExchangeCase{2, OwnerMapKind::kSumma, 1},
+                      ExchangeCase{4, OwnerMapKind::kSumma, 1},
+                      ExchangeCase{7, OwnerMapKind::kSumma, 1},
+                      ExchangeCase{2, OwnerMapKind::kSumma, 2},
+                      ExchangeCase{4, OwnerMapKind::kSumma, 2},
+                      ExchangeCase{7, OwnerMapKind::kSumma, 2}));
+
+TEST(PanelWire, RoundTripsDenseHypersparseSelectedAndEmpty) {
+  const auto expect_same = [](const CsrPanel& a, const CsrPanel& b) {
+    EXPECT_EQ(a.rows, b.rows);
+    EXPECT_EQ(a.cols, b.cols);
+    EXPECT_EQ(a.row_ids, b.row_ids);
+    EXPECT_EQ(a.row_ptr, b.row_ptr);
+    EXPECT_EQ(a.col_idx, b.col_idx);
+    EXPECT_EQ(a.values, b.values);
+  };
+  Rng rng(99);
+  std::vector<Triplet<std::uint64_t>> dense;
+  for (std::int64_t r = 0; r < 300; ++r) {
+    for (std::int64_t c = 0; c < 9; ++c) {
+      if (rng.bernoulli(0.7)) dense.push_back({r, c, rng()});
+    }
+  }
+  const CsrPanel dense_panel = CsrPanel::from_block(SparseBlock::from_triplets(300, 9, dense));
+  expect_same(decode_panel_wire(encode_panel_wire(dense_panel), 300, 9), dense_panel);
+
+  // Row ids far past 2³² travel unnarrowed.
+  const std::int64_t huge = std::int64_t{1} << 40;
+  const std::vector<Triplet<std::uint64_t>> sparse{
+      {3, 1, 5}, {(std::int64_t{1} << 33) + 7, 0, 9}, {huge - 1, 1, 2}};
+  const CsrPanel sparse_panel = CsrPanel::from_triplets(huge, 2, sparse);
+  expect_same(decode_panel_wire(encode_panel_wire(sparse_panel), huge, 2), sparse_panel);
+
+  // Column selection keeps indices and drops rows left empty.
+  std::vector<std::uint8_t> keep(9, 0);
+  keep[2] = keep[7] = 1;
+  std::vector<Triplet<std::uint64_t>> kept;
+  for (const auto& t : dense) {
+    if (keep[static_cast<std::size_t>(t.col)] != 0) kept.push_back(t);
+  }
+  expect_same(decode_panel_wire(encode_panel_wire(dense_panel, keep), 300, 9),
+              CsrPanel::from_block(SparseBlock::from_triplets(300, 9, kept)));
+
+  const CsrPanel empty = CsrPanel::from_block(SparseBlock{300, 9, {}});
+  EXPECT_TRUE(encode_panel_wire(empty).empty());
+  expect_same(decode_panel_wire({}, 300, 9), empty);
+}
+
+TEST(PanelWire, ColumnIndicesBeyond32BitsAreRejectedNotTruncated) {
+  const std::vector<Triplet<std::uint64_t>> one{{0, 0, 1}};
+  const CsrPanel wide = CsrPanel::from_triplets(1, std::int64_t{1} << 33, one);
+  EXPECT_THROW((void)encode_panel_wire(wide), error::ConfigError);
+}
 
 // ----------------------------------------------------------------- spgemm
 
@@ -544,7 +667,7 @@ TEST(Spgemm, ColumnPopcountsSumBits) {
   SparseBlock block = SparseBlock::from_triplets(4, 3, {{0, 0, 0b111}, {1, 0, 0b1},
                                                         {2, 2, 0b1010}});
   std::vector<std::int64_t> acc(5, 0);
-  accumulate_column_popcounts(block, 1, acc);  // offset 1
+  accumulate_column_popcounts(CsrPanel::from_block(block), 1, acc);  // offset 1
   EXPECT_EQ(acc[1], 4);  // col 0: 3 + 1 bits
   EXPECT_EQ(acc[2], 0);
   EXPECT_EQ(acc[3], 2);  // col 2
@@ -579,7 +702,7 @@ TEST_P(ParallelSpgemm, MatchesSerialReference) {
       }
       SparseBlock panel{h, my_cols.size(), std::move(mine)};
       DenseBlock<std::int64_t> b_panel(my_cols, BlockRange{0, n});
-      ring_ata_accumulate(comm, n, panel, b_panel);
+      ring_ata_accumulate(comm, n, CsrPanel::from_block(panel), b_panel);
       DenseBlock<double> s(b_panel.row_range, b_panel.col_range);
       for (std::size_t i = 0; i < s.values.size(); ++i) {
         s.values[i] = static_cast<double>(b_panel.values[i]);
@@ -603,7 +726,7 @@ TEST_P(ParallelSpgemm, MatchesSerialReference) {
         }
         my_block = SparseBlock{chunk.size(), cols.size(), std::move(mine)};
         b_block.emplace(block_range(n, s, grid.grid_row()), cols);
-        summa_ata_accumulate(grid, *my_block, *b_block);
+        summa_ata_accumulate(grid, h, CsrPanel::from_block(*my_block), *b_block);
       }
       std::optional<DenseBlock<double>> s_block;
       if (grid.active() && grid.layer() == 0) {

@@ -20,6 +20,8 @@
 #include "core/checkpoint.hpp"
 #include "core/driver.hpp"
 #include "core/sample_source.hpp"
+#include "distmat/proc_grid.hpp"
+#include "distmat/spgemm.hpp"
 #include "sketch/one_perm_minhash.hpp"
 #include "sketch/sketch.hpp"
 #include "util/error.hpp"
@@ -279,6 +281,45 @@ TEST(FaultInjection, ByteFlipIsCaughtByWireValidation) {
   } catch (const error::Error& e) {
     EXPECT_EQ(e.code(), error::Code::kRankFailure);
     EXPECT_NE(std::string(e.what()).find("not a sketch wire blob"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FaultInjection, FlippedSummaBroadcastHeaderFailsAsPanelWire) {
+  // 2×2 SUMMA grid. Rank 3 sits at grid (1, 1). Its first 24 ops are the
+  // four grid splits (one 4-rank ring allgather each: 3 sends + 3
+  // receives). Op 24 posts its stage-1 transpose ahead (a self-send on
+  // the diagonal); op 25 receives the stage-0 row broadcast — grid column
+  // 0's L panel wire. Flipping byte 0 hits that wire's header word: the
+  // decode must reject it as a typed failure naming the panel wire.
+  bsp::RuntimeOptions options;
+  options.fault_plan = std::make_shared<const bsp::FaultPlan>(
+      bsp::FaultPlan::parse("rank=3:op=25:flip=0"));
+  const std::int64_t h = 20;
+  const std::int64_t n = 8;
+  try {
+    bsp::Runtime::run(
+        4,
+        [&](bsp::Comm& comm) {
+          distmat::ProcGrid grid(comm, 1);
+          const distmat::BlockRange chunk = distmat::block_range(h, 2, grid.grid_row());
+          const distmat::BlockRange cols = distmat::block_range(n, 2, grid.grid_col());
+          std::vector<distmat::Triplet<std::uint64_t>> entries;
+          for (std::int64_t r = 0; r < chunk.size(); ++r) {
+            for (std::int64_t c = 0; c < cols.size(); ++c) entries.push_back({r, c, 0x5});
+          }
+          distmat::DenseBlock<std::int64_t> b_block(distmat::block_range(n, 2, grid.grid_row()),
+                                                    cols);
+          distmat::summa_ata_accumulate(
+              grid, h, distmat::CsrPanel::from_triplets(chunk.size(), cols.size(), entries),
+              b_block);
+        },
+        options);
+    FAIL() << "expected the flipped panel wire header to abort the run";
+  } catch (const error::Error& e) {
+    EXPECT_EQ(e.code(), error::Code::kCorruptInput) << e.what();
+    EXPECT_NE(std::string(e.what()).find("rank 3"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("panel wire: bad magic"), std::string::npos)
         << e.what();
   }
 }

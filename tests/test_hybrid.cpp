@@ -374,7 +374,7 @@ TEST(Hybrid, RingScheduleSkipsFullyPrunedPanels) {
     distmat::DenseBlock<std::int64_t> b_panel(my_cols, distmat::BlockRange{0, n});
     distmat::CsrAtaOptions options;
     options.prune = &mask;
-    distmat::ring_ata_accumulate(comm, n, panel, b_panel,
+    distmat::ring_ata_accumulate(comm, n, distmat::CsrPanel::from_block(panel), b_panel,
                                  distmat::RingSchedule::kOverlapped, options);
     for (std::int64_t i = my_cols.begin; i < my_cols.end; ++i) {
       for (std::int64_t j = 0; j < n; ++j) {

@@ -371,6 +371,34 @@ TEST(MemBudget, DriverPanelAllocationFailsTyped) {
   }
 }
 
+TEST(MemBudget, PackedBatchPanelChargeFailsTyped) {
+  // Bit width 1 makes every value its own packed entry: 4 × ~50k values
+  // pack into ~3 MB of column runs (16 bytes per entry) against a 1 MB
+  // budget, while the 4 × 4 accumulator panel is negligible. The charge
+  // for the packed panel must trip first, typed.
+  Rng rng(77);
+  std::vector<std::vector<std::int64_t>> samples(4);
+  for (auto& s : samples) {
+    for (int i = 0; i < 50000; ++i) {
+      s.push_back(static_cast<std::int64_t>(rng.uniform(std::uint64_t{1} << 20)));
+    }
+  }
+  const core::VectorSampleSource source(std::int64_t{1} << 20, std::move(samples));
+  core::Config config;
+  config.estimator = core::Estimator::kExact;
+  config.algorithm = core::Algorithm::kSerial;
+  config.bit_width = 1;
+  config.mem_budget_mb = 1;
+  try {
+    (void)core::similarity_at_scale_threaded(1, source, config);
+    FAIL() << "expected the packed panel charge to exhaust the budget";
+  } catch (const error::Error& e) {
+    EXPECT_EQ(e.code(), error::Code::kResourceExhausted) << e.what();
+    EXPECT_NE(std::string(e.what()).find("packed batch panel"), std::string::npos)
+        << e.what();
+  }
+}
+
 // -------------------------------------------------- durable checkpointing
 
 fs::path fresh_dir(const std::string& name) {

@@ -91,10 +91,10 @@ TEST(CsrPanel, AstronomicalRowSpaceCostsOnlyOccupiedRows) {
   EXPECT_EQ(out.at_local(0, 1), 0);
 }
 
-TEST(CsrPanel, SortedRowBoundIsTight) {
+TEST(CsrPanel, OccupiedRowBoundIsTight) {
   const std::vector<Triplet<std::uint64_t>> entries{{1, 0, 1}, {7, 2, 1}};
-  EXPECT_EQ(sorted_row_bound(std::span<const Triplet<std::uint64_t>>(entries)), 8);
-  EXPECT_EQ(sorted_row_bound(std::span<const Triplet<std::uint64_t>>()), 0);
+  EXPECT_EQ(CsrPanel::from_triplets(20, 3, entries).occupied_row_bound(), 8);
+  EXPECT_EQ(CsrPanel::from_triplets(20, 3, {}).occupied_row_bound(), 0);
 }
 
 // ------------------------------------------------- kernel property tests
@@ -308,7 +308,7 @@ std::vector<std::int64_t> run_ring(const SparseBlock& full, int p,
     }
     SparseBlock panel{full.rows, my_cols.size(), std::move(mine)};
     DenseBlock<std::int64_t> b_panel(my_cols, BlockRange{0, n});
-    ring_ata_accumulate(comm, n, panel, b_panel, schedule);
+    ring_ata_accumulate(comm, n, CsrPanel::from_block(panel), b_panel, schedule);
     DenseBlock<double> s(b_panel.row_range, b_panel.col_range);
     for (std::size_t i = 0; i < s.values.size(); ++i) {
       s.values[i] = static_cast<double>(b_panel.values[i]);
@@ -347,7 +347,7 @@ std::vector<std::int64_t> run_summa(const SparseBlock& full, int p, int layers) 
       }
       SparseBlock block{chunk.size(), cols.size(), std::move(mine)};
       b_block.emplace(block_range(n, s, grid.grid_row()), cols);
-      summa_ata_accumulate(grid, block, *b_block);
+      summa_ata_accumulate(grid, h, CsrPanel::from_block(block), *b_block);
     }
     std::optional<DenseBlock<double>> s_block;
     if (grid.active() && grid.layer() == 0) {
