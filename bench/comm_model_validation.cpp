@@ -8,7 +8,8 @@
 //   (a) rank sweep at c=1 — measured max bytes/rank must track z/√p+n²/p,
 //   (b) replication sweep at fixed p — input term shrinks as 1/√c while
 //       the output-reduction term grows as c,
-//   (c) schedule comparison — SUMMA vs ring vs MapReduce bytes.
+//   (c) schedule comparison — SUMMA vs ring vs MapReduce bytes,
+//   (d) drift gate — α-β predicted vs measured time per collective.
 #include <cmath>
 
 #include "baselines/mapreduce_jaccard.hpp"
@@ -181,75 +182,5 @@ int main() {
   std::printf("drift gate: %d data primitives in range [1e-4, 1e4] — %s\n",
               data_primitives_ok, gate_failed ? "FAIL" : "ok");
 
-  // (e) two-tier drift gate: same runs under a simulated 2-node topology.
-  // The hierarchical collectives split traffic into intra-/inter-node
-  // tiers and the predictions switch to the two-(α, β) form of
-  // bsp::BspMachine — the drift ratios must stay inside the same loose
-  // range (a tier booked against the wrong constants shows up as a
-  // decades-off ratio), and both tiers must actually carry bytes.
-  std::printf("\n(e) two-tier drift: 2 simulated nodes, per-tier traffic + drift\n");
-  obs::Observer hier_observer(16, std::size_t{1} << 15);
-  bsp::CostSummary hier_cost;
-  {
-    core::Config config;
-    config.batch_count = 2;
-    config.nodes = 2;
-    std::vector<bsp::CostCounters> counters;
-    (void)core::similarity_at_scale_threaded(16, source, config, &counters,
-                                             &hier_observer);
-    hier_cost = bsp::CostSummary::aggregate(counters);
-    config.algorithm = core::Algorithm::kRing1D;
-    counters.clear();
-    (void)core::similarity_at_scale_threaded(16, source, config, &counters,
-                                             &hier_observer);
-    const auto ring_cost = bsp::CostSummary::aggregate(counters);
-    hier_cost.total_bytes += ring_cost.total_bytes;
-    hier_cost.total_bytes_intra += ring_cost.total_bytes_intra;
-  }
-  std::printf("traffic split: %s intra-node, %s inter-node\n",
-              fmt_bytes(static_cast<double>(hier_cost.total_bytes_intra)).c_str(),
-              fmt_bytes(static_cast<double>(hier_cost.total_bytes -
-                                            hier_cost.total_bytes_intra))
-                  .c_str());
-  const auto hier_drift = hier_observer.aggregate_drift();
-  TextTable hier_table(
-      {"primitive", "samples", "predicted s", "measured s", "measured/predicted"});
-  int hier_primitives_ok = 0;
-  for (std::size_t i = 0; i < obs::kPrimitiveCount; ++i) {
-    const obs::DriftCell& cell = hier_drift[i];
-    if (cell.samples == 0) continue;
-    const auto prim = static_cast<obs::Primitive>(i);
-    const double ratio = cell.predicted_seconds > 0.0
-                             ? cell.measured_seconds / cell.predicted_seconds
-                             : 0.0;
-    hier_table.add_row({obs::primitive_name(prim), fmt_count(cell.samples),
-                        fmt_sci(cell.predicted_seconds), fmt_sci(cell.measured_seconds),
-                        fmt_sci(ratio)});
-    if (prim == obs::Primitive::kBarrier) continue;
-    if (cell.predicted_seconds > 0.0 && cell.measured_seconds > 0.0 &&
-        ratio >= 1e-4 && ratio <= 1e4) {
-      ++hier_primitives_ok;
-    } else {
-      std::printf(
-          "TWO-TIER DRIFT GATE: %s out of range (predicted %.3e s, measured %.3e s)\n",
-          obs::primitive_name(prim), cell.predicted_seconds, cell.measured_seconds);
-      gate_failed = true;
-    }
-  }
-  hier_table.print();
-  if (hier_primitives_ok < 3) {
-    std::printf("TWO-TIER DRIFT GATE: only %d data primitives exercised (need >= 3)\n",
-                hier_primitives_ok);
-    gate_failed = true;
-  }
-  if (hier_cost.total_bytes_intra == 0 ||
-      hier_cost.total_bytes_intra >= hier_cost.total_bytes) {
-    std::printf("TWO-TIER DRIFT GATE: tier split degenerate (intra %llu of %llu)\n",
-                static_cast<unsigned long long>(hier_cost.total_bytes_intra),
-                static_cast<unsigned long long>(hier_cost.total_bytes));
-    gate_failed = true;
-  }
-  std::printf("two-tier drift gate: %d data primitives in range [1e-4, 1e4] — %s\n",
-              hier_primitives_ok, gate_failed ? "FAIL" : "ok");
   return gate_failed ? 1 : 0;
 }

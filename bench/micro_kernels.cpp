@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "baselines/minhash.hpp"
 #include "bench_common.hpp"
 #include "bsp/runtime.hpp"
 #include "core/packing.hpp"
@@ -19,6 +18,7 @@
 #include "distmat/spgemm.hpp"
 #include "genome/kmer.hpp"
 #include "genome/synthetic.hpp"
+#include "sketch/bottomk.hpp"
 #include "util/popcount.hpp"
 #include "util/rng.hpp"
 
@@ -247,7 +247,7 @@ void BM_MinHashSketch(benchmark::State& state) {
   std::vector<std::uint64_t> elements(100000);
   for (auto& e : elements) e = rng();
   for (auto _ : state) {
-    sas::baselines::MinHashSketch sketch(elements, sketch_size, 5);
+    sas::sketch::BottomKSketch sketch(elements, sketch_size, 5);
     benchmark::DoNotOptimize(sketch.hashes().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

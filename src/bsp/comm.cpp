@@ -9,50 +9,6 @@
 
 namespace sas::bsp {
 
-namespace detail {
-
-void SharedState::set_node_topology(int nodes_in) {
-  const int n = std::clamp(nodes_in, 1, size);
-  std::vector<int> map(static_cast<std::size_t>(size));
-  for (int q = 0; q < n; ++q) {
-    // Contiguous near-equal blocks: node q owns [q·size/n, (q+1)·size/n).
-    const int begin = static_cast<int>(static_cast<std::int64_t>(q) * size / n);
-    const int end = static_cast<int>(static_cast<std::int64_t>(q + 1) * size / n);
-    for (int r = begin; r < end; ++r) map[static_cast<std::size_t>(r)] = q;
-  }
-  set_node_map(std::move(map));
-}
-
-void SharedState::set_node_map(std::vector<int> map) {
-  if (static_cast<int>(map.size()) != size) {
-    throw std::invalid_argument("bsp::SharedState::set_node_map: one entry per rank");
-  }
-  // Renumber node ids dense, preserving their relative order, so split
-  // children with gaps in the inherited ids get contiguous nodes.
-  std::vector<int> ids = map;
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  for (int& q : map) {
-    q = static_cast<int>(std::lower_bound(ids.begin(), ids.end(), q) - ids.begin());
-  }
-  nodes = static_cast<int>(ids.size());
-  if (nodes <= 1) {
-    // Flat: keep the single-tier collectives and empty maps (the
-    // convention node_of/node_members rely on).
-    nodes = 1;
-    node_of.clear();
-    node_members.clear();
-    return;
-  }
-  node_members.assign(static_cast<std::size_t>(nodes), {});
-  for (int r = 0; r < size; ++r) {
-    node_members[static_cast<std::size_t>(map[static_cast<std::size_t>(r)])].push_back(r);
-  }
-  node_of = std::move(map);
-}
-
-}  // namespace detail
-
 void Comm::barrier() {
   const obs::CollectiveScope obs_scope(obs::Primitive::kBarrier, *counters_);
   counters_->supersteps += 1;
@@ -266,18 +222,6 @@ Comm Comm::split(int color, int key) {
         if (st.protocol_registry != nullptr) {
           st.protocol_registry->register_child(child);
         }
-      }
-      // Children inherit the parent's node placement (child rank i sits
-      // wherever its parent rank sits), so e.g. the SUMMA row/column
-      // communicators keep running hierarchical broadcasts. Ids are
-      // renumbered dense; a group confined to one node goes flat.
-      if (st.nodes > 1) {
-        std::vector<int> child_map;
-        child_map.reserve(group.size());
-        for (const Entry& e : group) {
-          child_map.push_back(st.node_of[static_cast<std::size_t>(e.parent_rank)]);
-        }
-        child->set_node_map(std::move(child_map));
       }
       if (group_size > 1) {
         st.split_children.emplace(slot, child);

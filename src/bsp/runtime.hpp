@@ -3,10 +3,10 @@
 // Runtime::run(p, fn) executes `fn` on p rank-threads, each receiving its
 // own Comm bound to a shared world communicator, and returns the per-rank
 // cost counters. This is the reproduction's stand-in for `mpirun -np p`
-// (DESIGN.md §2): the SPMD code inside `fn` is structured exactly as the
-// MPI program would be, and rank counts may exceed physical cores (the
-// scaling benches oversubscribe deliberately; modelled α-β-γ cost is the
-// machine-independent signal).
+// (one process, no MPI dependency): the SPMD code inside `fn` is
+// structured exactly as the MPI program would be, and rank counts may
+// exceed physical cores (the scaling benches oversubscribe deliberately;
+// modelled α-β-γ cost is the machine-independent signal).
 //
 // Failure semantics (fault.hpp; ROADMAP "Failure semantics"): when any
 // rank's fn throws, the world's AbortToken trips with the error annotated
@@ -51,13 +51,6 @@ struct RuntimeOptions {
   /// environment variable (CI arms it); verification never changes
   /// results, only adds the checks.
   bool verify_protocol = false;
-
-  /// Simulated node count for the hierarchical two-tier collectives:
-  /// ranks are grouped into `nodes` contiguous blocks (comm.hpp), sends
-  /// inside a block are costed on the intra tier, and broadcast /
-  /// allreduce / allgather_v / alltoall_v run as intra+inter stages.
-  /// 1 (the default) keeps the flat single-tier collectives.
-  int nodes = 1;
 
   /// Span/metric collection (obs/trace.hpp): each rank thread is bound
   /// to observer->rank(r) for the duration of the run, and on abort the

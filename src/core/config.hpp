@@ -91,15 +91,6 @@ struct Config {
   /// call becomes a no-op); disable only for placement ablations.
   bool numa_aware = true;
 
-  /// Simulated node count for the hierarchical collectives: ranks are
-  /// grouped into `nodes` contiguous blocks, each with a leader rank, and
-  /// broadcast / allreduce / allgather_v / alltoall_v run as intra-node +
-  /// inter-node stages costed against the two-tier (α,β) machine model
-  /// (bsp/cost_model.hpp). 1 (the default) keeps the flat single-tier
-  /// collectives and their exact message counts. Results are bitwise
-  /// identical for any value (enforced by tests).
-  int nodes = 1;
-
   /// Sparse/dense fill-product crossover of the SpGEMM kernel. 0 (the
   /// default) derives it from a one-shot startup micro-calibration of the
   /// scatter vs streaming-popcount rates on this machine

@@ -5,9 +5,7 @@
 #include <span>
 #include <stdexcept>
 
-#include "bsp/tags.hpp"
 #include "distmat/block.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace sas::distmat {
@@ -278,6 +276,11 @@ std::size_t advance_to(std::span<const std::int64_t> sorted, std::size_t at,
       sorted.begin());
 }
 
+void sort_unique(std::vector<std::uint64_t>& keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+}
+
 }  // namespace
 
 std::vector<std::uint64_t> encode_index_set(std::span<const std::int64_t> sorted,
@@ -448,72 +451,9 @@ void allreduce_pair_mask(bsp::Comm& comm, PairMask& mask) {
   mask.symmetrize();
 }
 
-namespace {
-
-/// User-tag block of the hierarchical pair-union exchange (bsp/tags.hpp
-/// is the central registry; spgemm owns 200/300 for its schedules).
-constexpr int kTagPairUnionUp = bsp::tags::kPairUnionUp;
-constexpr int kTagPairUnionDown = bsp::tags::kPairUnionDown;
-constexpr int kTagPairUnionLeader = bsp::tags::kPairUnionLeader;
-
-void sort_unique(std::vector<std::uint64_t>& keys) {
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-}
-
-/// Two-tier pair union: members hand their deduped key lists to the node
-/// leader, which dedupes the NODE union before anything crosses the
-/// inter-node tier — duplicated candidates between ranks of one node
-/// (common: neighbouring ranks score overlapping pair blocks) are
-/// eliminated from the expensive tier entirely. Leaders then exchange
-/// node unions directly and fan the global union back out. Set union is
-/// order-insensitive, so the result is bitwise identical to the flat
-/// allgather path.
-std::vector<std::uint64_t> hier_pair_union(bsp::Comm& comm,
-                                           std::vector<std::uint64_t> mine) {
-  // Booked as allgather drift: structurally this is the hierarchical
-  // counterpart of the flat path's allgather_v.
-  const obs::CollectiveScope obs_scope(obs::Primitive::kAllgather, comm.counters());
-  const auto members = comm.node_ranks(comm.my_node());
-  const int leader = members.front();
-  if (comm.rank() != leader) {
-    comm.send<std::uint64_t>(leader, kTagPairUnionUp,
-                             std::span<const std::uint64_t>(mine));
-    return comm.recv<std::uint64_t>(leader, kTagPairUnionDown);
-  }
-  for (std::size_t i = 1; i < members.size(); ++i) {
-    const auto block = comm.recv<std::uint64_t>(members[i], kTagPairUnionUp);
-    mine.insert(mine.end(), block.begin(), block.end());
-  }
-  sort_unique(mine);  // node union, deduped before the inter tier
-  const int nn = comm.node_count();
-  for (int q = 0; q < nn; ++q) {
-    if (q == comm.my_node()) continue;
-    comm.send<std::uint64_t>(comm.node_ranks(q).front(), kTagPairUnionLeader,
-                             std::span<const std::uint64_t>(mine));
-  }
-  std::vector<std::uint64_t> all = std::move(mine);
-  for (int q = 0; q < nn; ++q) {
-    if (q == comm.my_node()) continue;
-    const auto block =
-        comm.recv<std::uint64_t>(comm.node_ranks(q).front(), kTagPairUnionLeader);
-    all.insert(all.end(), block.begin(), block.end());
-  }
-  sort_unique(all);
-  for (std::size_t i = 1; i < members.size(); ++i) {
-    comm.send<std::uint64_t>(members[i], kTagPairUnionDown,
-                             std::span<const std::uint64_t>(all));
-  }
-  return all;
-}
-
-}  // namespace
-
 std::vector<std::uint64_t> allreduce_pair_union(bsp::Comm& comm,
                                                 std::vector<std::uint64_t> mine) {
-  std::sort(mine.begin(), mine.end());
-  mine.erase(std::unique(mine.begin(), mine.end()), mine.end());
-  if (comm.hierarchical()) return hier_pair_union(comm, std::move(mine));
+  sort_unique(mine);
   const auto blocks = comm.allgather_v<std::uint64_t>(
       std::span<const std::uint64_t>(mine));
   // Rank lists are each sorted; a concatenate + sort is O(total log p)-ish
@@ -524,8 +464,7 @@ std::vector<std::uint64_t> allreduce_pair_union(bsp::Comm& comm,
   for (const auto& block : blocks) total += block.size();
   all.reserve(total);
   for (const auto& block : blocks) all.insert(all.end(), block.begin(), block.end());
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
+  sort_unique(all);
   return all;
 }
 

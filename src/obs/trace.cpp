@@ -85,13 +85,6 @@ void Observer::write_chrome_trace(std::ostream& out) const {
       w.field("bytes_sent", ev.bytes_sent);
       w.field("bytes_received", ev.bytes_received);
       w.field("messages", ev.messages);
-      // Per-tier traffic under a node topology: intra = same-node subset,
-      // inter = the remainder. Omitted on flat runs to keep traces small.
-      if (ev.messages_intra > 0 || ev.bytes_intra > 0) {
-        w.field("bytes_intra", ev.bytes_intra);
-        w.field("bytes_inter", ev.bytes_sent - ev.bytes_intra);
-        w.field("messages_intra", ev.messages_intra);
-      }
       if (ev.batch >= 0) w.field("batch", ev.batch);
       if (ev.predicted_s >= 0.0) {
         w.field("predicted_us", ev.predicted_s * 1e6);

@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -27,6 +28,17 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
 }
 
 bool ArgParser::has(const std::string& name) const { return named_.count(name) > 0; }
+
+std::vector<std::string> ArgParser::unknown_names(
+    std::span<const std::string_view> known) const {
+  std::vector<std::string> unknown;
+  for (const auto& entry : named_) {
+    if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+      unknown.push_back(entry.first);
+    }
+  }
+  return unknown;
+}
 
 std::string ArgParser::get_string(const std::string& name, const std::string& fallback) const {
   const auto it = named_.find(name);

@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sas {
@@ -26,6 +28,12 @@ class ArgParser {
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+
+  /// Names that were parsed but are not in `known`, in name order. A
+  /// caller that rejects these turns a mistyped or retired flag into a
+  /// usage error instead of a silently ignored one.
+  [[nodiscard]] std::vector<std::string> unknown_names(
+      std::span<const std::string_view> known) const;
 
   /// Positional (non `--`) arguments in order of appearance.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

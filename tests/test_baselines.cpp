@@ -10,9 +10,9 @@
 
 #include "baselines/exact_pairwise.hpp"
 #include "baselines/mapreduce_jaccard.hpp"
-#include "baselines/minhash.hpp"
 #include "core/driver.hpp"
 #include "core/sample_source.hpp"
+#include "sketch/bottomk.hpp"
 #include "util/rng.hpp"
 
 namespace sas::baselines {
@@ -36,23 +36,23 @@ TEST(MinHash, ExactWhenSketchHoldsEverything) {
   const auto a = random_set(10000, 200, rng);
   const auto b = random_set(10000, 200, rng);
   // Sketch size >= |A ∪ B|: the estimator degenerates to exact Jaccard.
-  const MinHashSketch sa(a, 4096, 9);
-  const MinHashSketch sb(b, 4096, 9);
-  EXPECT_NEAR(MinHashSketch::estimate_jaccard(sa, sb), exact_jaccard(a, b), 1e-12);
+  const sketch::BottomKSketch sa(a, 4096, 9);
+  const sketch::BottomKSketch sb(b, 4096, 9);
+  EXPECT_NEAR(sketch::BottomKSketch::estimate_jaccard(sa, sb), exact_jaccard(a, b), 1e-12);
 }
 
 TEST(MinHash, EmptySetsConvention) {
   const std::vector<std::uint64_t> empty;
-  const MinHashSketch se(empty, 64, 9);
-  EXPECT_DOUBLE_EQ(MinHashSketch::estimate_jaccard(se, se), 1.0);
+  const sketch::BottomKSketch se(empty, 64, 9);
+  EXPECT_DOUBLE_EQ(sketch::BottomKSketch::estimate_jaccard(se, se), 1.0);
 }
 
 TEST(MinHash, IdenticalSetsEstimateOne) {
   Rng rng(2);
   const auto a = random_set(100000, 5000, rng);
-  const MinHashSketch s1(a, 128, 7);
-  const MinHashSketch s2(a, 128, 7);
-  EXPECT_DOUBLE_EQ(MinHashSketch::estimate_jaccard(s1, s2), 1.0);
+  const sketch::BottomKSketch s1(a, 128, 7);
+  const sketch::BottomKSketch s2(a, 128, 7);
+  EXPECT_DOUBLE_EQ(sketch::BottomKSketch::estimate_jaccard(s1, s2), 1.0);
 }
 
 TEST(MinHash, ErrorDecaysWithSketchSize) {
@@ -74,13 +74,13 @@ TEST(MinHash, ErrorDecaysWithSketchSize) {
   ASSERT_NEAR(truth, 1.0 / 3.0, 1e-3);
 
   // Average absolute error over hash seeds, per sketch size.
-  auto mean_error = [&](std::size_t sketch) {
+  auto mean_error = [&](std::size_t size) {
     double err = 0.0;
     const int trials = 12;
     for (int t = 0; t < trials; ++t) {
-      const MinHashSketch sa(a, sketch, 100 + static_cast<std::uint64_t>(t));
-      const MinHashSketch sb(b, sketch, 100 + static_cast<std::uint64_t>(t));
-      err += std::fabs(MinHashSketch::estimate_jaccard(sa, sb) - truth);
+      const sketch::BottomKSketch sa(a, size, 100 + static_cast<std::uint64_t>(t));
+      const sketch::BottomKSketch sb(b, size, 100 + static_cast<std::uint64_t>(t));
+      err += std::fabs(sketch::BottomKSketch::estimate_jaccard(sa, sb) - truth);
     }
     return err / trials;
   };
@@ -108,9 +108,9 @@ TEST(MinHash, StruggleswithHighlyDissimilarPairsAtSmallSketch) {
   }
   const double truth = exact_jaccard(a, b);
   ASSERT_LT(truth, 0.005);
-  const MinHashSketch sa(a, 64, 5);
-  const MinHashSketch sb(b, 64, 5);
-  const double estimate = MinHashSketch::estimate_jaccard(sa, sb);
+  const sketch::BottomKSketch sa(a, 64, 5);
+  const sketch::BottomKSketch sb(b, 64, 5);
+  const double estimate = sketch::BottomKSketch::estimate_jaccard(sa, sb);
   // Tiny sketches quantize at 1/64; relative error is enormous or the
   // estimate collapses to zero.
   EXPECT_TRUE(estimate == 0.0 || std::fabs(estimate - truth) / truth > 1.0);
@@ -120,30 +120,30 @@ TEST(MinHash, MergeEqualsSketchOfUnion) {
   Rng rng(5);
   const auto a = random_set(100000, 3000, rng);
   const auto b = random_set(100000, 3000, rng);
-  const MinHashSketch sa(a, 256, 11);
-  const MinHashSketch sb(b, 256, 11);
+  const sketch::BottomKSketch sa(a, 256, 11);
+  const sketch::BottomKSketch sb(b, 256, 11);
   std::vector<std::uint64_t> ab(a);
   ab.insert(ab.end(), b.begin(), b.end());
-  const MinHashSketch direct(ab, 256, 11);
-  const MinHashSketch merged = MinHashSketch::merge(sa, sb);
+  const sketch::BottomKSketch direct(ab, 256, 11);
+  const sketch::BottomKSketch merged = sketch::BottomKSketch::merge(sa, sb);
   EXPECT_EQ(merged.hashes(), direct.hashes());
 }
 
 TEST(MinHash, IncompatibleSketchesRejected) {
   const std::vector<std::uint64_t> a{1, 2, 3};
-  const MinHashSketch s1(a, 16, 1);
-  const MinHashSketch s2(a, 16, 2);   // different seed
-  const MinHashSketch s3(a, 32, 1);   // different size
-  EXPECT_THROW((void)MinHashSketch::estimate_jaccard(s1, s2), std::invalid_argument);
-  EXPECT_THROW((void)MinHashSketch::merge(s1, s3), std::invalid_argument);
+  const sketch::BottomKSketch s1(a, 16, 1);
+  const sketch::BottomKSketch s2(a, 16, 2);   // different seed
+  const sketch::BottomKSketch s3(a, 32, 1);   // different size
+  EXPECT_THROW((void)sketch::BottomKSketch::estimate_jaccard(s1, s2), std::invalid_argument);
+  EXPECT_THROW((void)sketch::BottomKSketch::merge(s1, s3), std::invalid_argument);
 }
 
 TEST(MashDistance, BoundaryAndMonotonicity) {
-  EXPECT_DOUBLE_EQ(mash_distance(1.0, 21), 0.0);
-  EXPECT_DOUBLE_EQ(mash_distance(0.0, 21), 1.0);
+  EXPECT_DOUBLE_EQ(sketch::mash_distance(1.0, 21), 0.0);
+  EXPECT_DOUBLE_EQ(sketch::mash_distance(0.0, 21), 1.0);
   double prev = 0.0;
   for (double j : {0.9, 0.7, 0.5, 0.3, 0.1, 0.01}) {
-    const double d = mash_distance(j, 21);
+    const double d = sketch::mash_distance(j, 21);
     EXPECT_GT(d, prev);  // lower similarity -> larger distance
     prev = d;
   }
@@ -156,7 +156,7 @@ TEST(MashDistance, ApproximatesMutationRate) {
   for (double r : {0.01, 0.05}) {
     const double t = std::pow(1.0 - r, k);
     const double j = t / (2.0 - t);
-    EXPECT_NEAR(mash_distance(j, k), r, r * 0.25);
+    EXPECT_NEAR(sketch::mash_distance(j, k), r, r * 0.25);
   }
 }
 
@@ -164,7 +164,7 @@ TEST(MinHash, AllPairsMatrixIsSymmetricWithUnitDiagonal) {
   Rng rng(6);
   std::vector<std::vector<std::uint64_t>> samples;
   for (int i = 0; i < 5; ++i) samples.push_back(random_set(5000, 300, rng));
-  const auto est = minhash_all_pairs(samples, 128, 42);
+  const auto est = sketch::minhash_all_pairs(samples, 128, 42);
   for (int i = 0; i < 5; ++i) {
     EXPECT_DOUBLE_EQ(est[static_cast<std::size_t>(i * 5 + i)], 1.0);
     for (int j = 0; j < 5; ++j) {

@@ -353,6 +353,16 @@ TEST_F(GasCli, CleanRunExitsZero) {
 
 TEST_F(GasCli, UsageErrorsExitWithConfigCode) {
   EXPECT_EQ(run_command(dist("--algorithm bogus")).exit_code, 2);
+  // Unknown flags (a retired one, a typo) fail instead of being ignored,
+  // and the message names the flag.
+  const auto expect_unknown_flag = [&](const std::string& flag, const std::string& value) {
+    const auto result = run_command(dist(flag + " " + value));
+    EXPECT_EQ(result.exit_code, 2) << result.output;
+    EXPECT_NE(result.output.find("unknown flag " + flag), std::string::npos)
+        << result.output;
+  };
+  expect_unknown_flag("--nodes", "2");
+  expect_unknown_flag("--estimater", "hybrid");
   EXPECT_EQ(run_command(dist("--resume")).exit_code, 2);  // no --checkpoint
   EXPECT_EQ(run_command(dist("--watchdog-ms -5")).exit_code, 2);
   EXPECT_EQ(run_command(dist("--fault-plan rank=0:op=zero:throw")).exit_code, 2);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/args.hpp"
@@ -246,6 +247,15 @@ TEST(Args, ParsesNamedPositionalAndFlags) {
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "input.fa");
   EXPECT_EQ(args.program_name(), "prog");
+}
+
+TEST(Args, ListsParsedNamesOutsideTheKnownSet) {
+  const char* argv[] = {"prog", "--ranks", "4", "--zeta", "--estimater=hybrid", "x.kmers"};
+  const ArgParser args(6, argv);
+  const std::string_view known[] = {"ranks", "estimator", "batches"};
+  EXPECT_EQ(args.unknown_names(known), (std::vector<std::string>{"estimater", "zeta"}));
+  const std::string_view all[] = {"ranks", "zeta", "estimater"};
+  EXPECT_TRUE(args.unknown_names(all).empty());
 }
 
 TEST(Timer, MeasuresElapsedTime) {

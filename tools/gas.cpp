@@ -38,6 +38,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/neighbor_joining.hpp"
@@ -75,8 +76,7 @@ int usage() {
                "           [--phylip out] [--similarity-out out.sasm] [--tsv out.tsv]\n"
                "           [--sparse-similarity-out out.sasp]\n"
                "           [--top N | --threshold J] [--algorithm summa|ring|serial]\n"
-               "           [--replication 1] [--bits 64] [--no-filter]\n"
-               "           [--nodes 1] [--no-numa]\n"
+               "           [--replication 1] [--bits 64] [--no-filter] [--no-numa]\n"
                "           [--estimator exact|hll|minhash|bottomk|hybrid]\n"
                "           [--sketch-size 1024] [--hll-precision 12]\n"
                "           [--minhash-bits 16] [--sketch-seed 1445]\n"
@@ -128,9 +128,6 @@ int usage() {
                "                     by the SAS_VERIFY_PROTOCOL env var (CI does);\n"
                "                     results are unchanged, checks only\n"
                "raw-speed knobs (gas dist):\n"
-               "  --nodes N          simulate N nodes: hierarchical two-tier\n"
-               "                     collectives (bitwise-identical results) with\n"
-               "                     intra/inter traffic costed separately\n"
                "  --no-numa          disable NUMA worker pinning + first-touch\n"
                "                     placement of the multiply stage\n"
                "exit codes: 0 ok, 1 generic error, 2 bad config/usage,\n"
@@ -273,7 +270,25 @@ int cmd_sketch(const ArgParser& args) {
   return 0;
 }
 
+/// Every flag `gas dist` reads; anything else is rejected up front.
+constexpr std::string_view kDistFlags[] = {
+    "k", "ranks", "batches", "bits", "replication", "no-filter", "no-numa",
+    "algorithm", "estimator", "sketch-size", "hll-precision", "minhash-bits",
+    "sketch-seed", "hybrid-sketch", "prune-threshold", "prune-slack",
+    "candidate-mode", "lsh-bands", "dense-output", "checkpoint", "resume",
+    "watchdog-ms", "fault-plan", "verify-protocol", "max-retries",
+    "retry-backoff-ms", "quarantine", "quarantine-manifest", "mem-budget-mb",
+    "trace-out", "report-json", "top", "threshold", "phylip", "similarity-out",
+    "sparse-similarity-out", "tsv"};
+
 int cmd_dist(const ArgParser& args) {
+  if (const auto unknown = args.unknown_names(kDistFlags); !unknown.empty()) {
+    std::string flags;
+    for (const std::string& name : unknown) {
+      flags += (flags.empty() ? "--" : ", --") + name;
+    }
+    throw error::ConfigError("unknown flag " + flags + " for 'gas dist' (see usage)");
+  }
   if (args.positional().size() < 3) {
     std::fprintf(stderr, "gas dist: need at least two sample files\n");
     return 2;
@@ -286,13 +301,6 @@ int cmd_dist(const ArgParser& args) {
   options.core.bit_width = static_cast<int>(args.get_int("bits", 64));
   options.core.replication = static_cast<int>(args.get_int("replication", 1));
   options.core.use_zero_row_filter = !args.get_bool("no-filter", false);
-  // Two-tier topology: group ranks into simulated nodes so the
-  // collectives run hierarchically and traffic is costed per tier.
-  options.core.nodes = static_cast<int>(args.get_int("nodes", 1));
-  if (options.core.nodes < 1) {
-    std::fprintf(stderr, "gas dist: --nodes must be >= 1\n");
-    return 2;
-  }
   options.core.numa_aware = !args.get_bool("no-numa", false);
   const std::string algorithm = args.get_string("algorithm", "summa");
   if (algorithm == "ring") {
